@@ -1,8 +1,9 @@
 // Package bench contains one experiment driver per table and figure of
 // the VaLoRA paper's evaluation (plus the motivation-section
-// measurements and the ablations DESIGN.md calls out). Every driver
-// returns a Table that renders to markdown/CSV; cmd/valora-bench runs
-// them all and EXPERIMENTS.md records paper-vs-measured.
+// measurements and design-choice ablations). Every driver returns a
+// Table that renders to markdown/CSV, with the paper's claim next to
+// the measured notes; cmd/valora-bench runs them all (README
+// "Experiments").
 package bench
 
 import (
@@ -67,20 +68,20 @@ func (t *Table) CSV() string {
 // Suite carries shared experiment configuration.
 type Suite struct {
 	GPU *simgpu.GPU
-	// Quick shrinks traces and sweeps for use from unit tests; the
-	// full-size runs back EXPERIMENTS.md.
+	// Quick shrinks traces and sweeps for use from unit tests and CI
+	// smoke runs.
 	Quick bool
 	Seed  int64
 	// OutDir is where experiments that persist artifacts (the
 	// BENCH_*.json perf trajectories) write; empty means the current
 	// directory.
 	OutDir string
-	// Shards, when positive, is added to the shard sweeps of the
-	// sweep-style experiments (million-requests, parallel-managed),
-	// overrides the stress headline run's shard count, and makes every
-	// other shard-aware experiment (Experiment.Sharded) replay its runs
-	// through RunSharded and verify bit-identity against the sequential
-	// report — the -shards flag of valora-bench.
+	// Shards, when positive, is added to the shard sweep of
+	// million-requests, overrides the stress headline run's shard
+	// count, and makes every other shard-aware experiment
+	// (Experiment.Sharded) replay its runs through RunSharded and verify
+	// bit-identity against the sequential report — the -shards flag of
+	// valora-bench.
 	Shards int
 }
 
@@ -118,14 +119,12 @@ type Experiment struct {
 }
 
 // shardedExperiments are the experiment IDs that honor Suite.Shards:
-// the sweep-style perf experiments add it to their shard axes, the
-// rest replay their runs through RunSharded and verify the report is
-// bit-identical to the sequential one. valora-bench -list flags them.
+// million-requests adds it to its shard axis, cluster-dispatch replays
+// its runs through RunSharded and verifies the report is bit-identical
+// to the sequential one. valora-bench -list flags them.
 var shardedExperiments = map[string]bool{
 	"cluster-dispatch": true,
 	"million-requests": true,
-	"multi-tenant":     true,
-	"parallel-managed": true,
 }
 
 // Sharded reports whether the experiment honors the -shards flag.
@@ -158,7 +157,7 @@ func (s *Suite) All() []Experiment {
 		{"cluster-dispatch", "cluster dispatch policies on the shared timeline", s.ClusterDispatch},
 		{"million-requests", "simulator stress: 1M-request replay wall-clock", s.MillionRequests},
 		{"multi-tenant", "fair-share vs FIFO SLO attainment, 3 tenants + autoscaler", s.MultiTenant},
-		{"parallel-managed", "bounded-lookahead sharding on the saturated multi-tenant trace", s.ParallelManaged},
+		{"parallel-managed", "classic vs bounded-lookahead admission on the saturated multi-tenant trace", s.ParallelManaged},
 		{"adapter-cold-start", "tiered adapter registry: prefetch + residency quotas vs cold fetches", s.AdapterColdStart},
 		{"fleet-cold-start", "chunk-level dedup + replicated links on a family-structured adapter fleet", s.FleetColdStart},
 		{"preemption-tail", "iteration-level preemption: realtime p99 with vs without displacement", s.PreemptionTail},

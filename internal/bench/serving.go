@@ -401,7 +401,7 @@ func (s *Suite) AblationNoMixture() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-mixture",
 		Title:   "Ablation: VaLoRA with and without the deLoRA mixture mode",
-		Paper:   "design-choice ablation (DESIGN.md): mixture absorbs starvation without a merge->unmerge switch",
+		Paper:   "design-choice ablation: mixture absorbs starvation without a merge->unmerge switch",
 		Columns: []string{"configuration", "avg token latency (ms)", "switches", "mixture iters"},
 	}
 	for _, disable := range []bool{false, true} {
@@ -437,7 +437,7 @@ func (s *Suite) AblationSlowSwitch() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-switch",
 		Title:   "Ablation: VaLoRA with the swift vs dLoRA-style switcher",
-		Paper:   "design-choice ablation (DESIGN.md): the swift switcher is what makes frequent mode changes affordable",
+		Paper:   "design-choice ablation: the swift switcher is what makes frequent mode changes affordable",
 		Columns: []string{"switcher", "avg token latency (ms)", "switch time total (ms)"},
 	}
 	for _, slow := range []bool{false, true} {
@@ -472,7 +472,7 @@ func (s *Suite) AblationMemory() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-memory",
 		Title:   "Ablation: unified (pinned, async, contiguous) vs copy-based adapter memory",
-		Paper:   "design-choice ablation (DESIGN.md): unified memory + async swap keep adapter misses off the critical path (Fig. 23's mechanism)",
+		Paper:   "design-choice ablation: unified memory + async swap keep adapter misses off the critical path (Fig. 23's mechanism)",
 		Columns: []string{"memory management", "avg token latency (ms)", "swap stall (ms)"},
 	}
 	for _, unified := range []bool{true, false} {

@@ -44,8 +44,7 @@ type StressRecord struct {
 	// simulator's own throughput, the number the engine rework moves).
 	// SpeedupVsSeq, where present, is the ratio of the experiment's
 	// sequential-engine wall time to this configuration's wall time on
-	// the same trace (parallel-managed records: classic managed engine
-	// over bounded-lookahead engine at this shard count).
+	// the same trace.
 	WallSeconds  float64 `json:"wall_seconds"`
 	SimRPS       float64 `json:"sim_rps"`
 	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`

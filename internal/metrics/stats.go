@@ -312,51 +312,3 @@ func JainIndex(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumsq)
 }
-
-// Histogram counts samples into fixed-width buckets over [lo, hi).
-// Samples outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int
-	count   int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.lo) / h.width)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
-	h.count++
-}
-
-// Count reports the total number of samples.
-func (h *Histogram) Count() int { return h.count }
-
-// Bucket reports the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets reports the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// BucketBounds reports the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	lo = h.lo + float64(i)*h.width
-	return lo, lo + h.width
-}

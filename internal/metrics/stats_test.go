@@ -140,58 +140,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if h.Count() != 10 {
-		t.Fatalf("count = %d, want 10", h.Count())
-	}
-	for i := 0; i < h.NumBuckets(); i++ {
-		if h.Bucket(i) != 1 {
-			t.Fatalf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	lo, hi := h.BucketBounds(3)
-	if lo != 3 || hi != 4 {
-		t.Fatalf("bucket 3 bounds [%v,%v), want [3,4)", lo, hi)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-100)
-	h.Add(+100)
-	if h.Bucket(0) != 1 || h.Bucket(4) != 1 {
-		t.Fatalf("out-of-range samples should clamp to edge buckets")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid range and bucket count
-	h.Add(5)
-	if h.Count() != 1 {
-		t.Fatal("degenerate histogram should still count")
-	}
-}
-
-func TestHistogramTotalEqualsCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	h := NewHistogram(0, 1, 17)
-	n := 1000
-	for i := 0; i < n; i++ {
-		h.Add(rng.Float64())
-	}
-	total := 0
-	for i := 0; i < h.NumBuckets(); i++ {
-		total += h.Bucket(i)
-	}
-	if total != n || h.Count() != n {
-		t.Fatalf("bucket total %d, count %d, want %d", total, h.Count(), n)
-	}
-}
-
 // TestRadixSortMatchesComparisonSort drives the bulk-sort path against
 // sort.Float64s over adversarial magnitudes: negatives, zeros,
 // infinities, denormals and a wide exponent spread.

@@ -106,10 +106,7 @@ func (c *Cluster) Instances() []*Server {
 func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 	if c.sched != nil {
 		if c.sched.Lookahead != nil {
-			// Bounded-lookahead admission: one engine serves both the
-			// sequential reference (single inline shard) and the sharded
-			// runs, so their reports are bit-identical by construction.
-			return c.runManagedLookahead(trace, 1, false)
+			return c.runManagedLookahead(trace)
 		}
 		return c.runManaged(trace)
 	}
@@ -136,7 +133,12 @@ func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 	if err := tl.Run(); err != nil {
 		return nil, err
 	}
+	return c.drainAggregate()
+}
 
+// drainAggregate finalizes every instance and folds the per-instance
+// reports into the cluster report.
+func (c *Cluster) drainAggregate() (*Report, error) {
 	reports := make([]*Report, len(c.servers))
 	for i, srv := range c.servers {
 		rep, err := srv.Drain() // already idle: finalizes the report
@@ -145,7 +147,6 @@ func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 		}
 		reports[i] = rep
 	}
-
 	return c.aggregate(reports, fmt.Sprintf("%s x%d [%s]", c.servers[0].Name(), len(c.servers), c.dispatch.Name())), nil
 }
 

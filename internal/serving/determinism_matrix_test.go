@@ -11,15 +11,16 @@ import (
 	"valora/internal/workload"
 )
 
-// The executable determinism matrix: the sharded engine must produce
-// byte-identical serialized Reports across every combination of
-// GOMAXPROCS ∈ {1, 2, 8} and shard count ∈ {1, 2, 4, 8}, against a
-// sequential reference. GOMAXPROCS is the axis the epoch-barrier
-// proof tends to miss in review — a scheduler-order dependence that
-// hides at 8 cores can surface at 1, and vice versa — and CI runs
-// this test under -race, so an unsynchronized cross-shard access (in
-// the barrier, the steal cursors, or the lookahead feeds) fails the
-// job even when the output happens to match.
+// The executable determinism matrix: the partitioned engine must
+// produce byte-identical serialized Reports across every combination
+// of GOMAXPROCS ∈ {1, 2, 8} and shard count ∈ {1, 2, 4, 8}, against
+// the sequential reference. GOMAXPROCS is the axis a review tends to
+// miss — a scheduler-order dependence that hides at 8 cores can
+// surface at 1, and vice versa — and CI runs this test under -race, so
+// an unsynchronized access between drain workers (the claim cursor, a
+// feed, an instance) fails the job even when the output happens to
+// match. The managed engines ride along: they run sequentially under
+// RunSharded, and the matrix keeps them GOMAXPROCS-invariant.
 
 var matrixGOMAXPROCS = []int{1, 2, 8}
 var matrixShards = []int{1, 2, 4, 8}
@@ -53,12 +54,12 @@ func runMatrix(t *testing.T, label string, run func(shards int) *Report) {
 	}
 }
 
-// TestDeterminismMatrixUnmanaged drives the epoch-barrier unmanaged
-// path with a state-reading dispatch policy (the coupling-heavy case).
+// TestDeterminismMatrixUnmanaged drives the partitioned path with a
+// round-robin fleet on the skewed swap-constrained trace.
 func TestDeterminismMatrixUnmanaged(t *testing.T) {
 	model := lmm.QwenVL7B()
-	runMatrix(t, "unmanaged/adapter-affinity", func(shards int) *Report {
-		cl, err := NewClusterWithDispatch(4, NewAdapterAffinity(), swapConstrained(model))
+	runMatrix(t, "unmanaged/round-robin", func(shards int) *Report {
+		cl, err := NewClusterWithDispatch(4, NewRoundRobin(), swapConstrained(model))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,8 +77,10 @@ func TestDeterminismMatrixUnmanaged(t *testing.T) {
 	})
 }
 
-// TestDeterminismMatrixManaged drives the managed runner (admission,
-// fair-share queueing, shedding) through the same matrix.
+// TestDeterminismMatrixManaged drives the managed engine (admission,
+// fair-share queueing, shedding) through the matrix. It has no parallel
+// path, so this pins that RunSharded's fallback to Run stays
+// byte-identical at every GOMAXPROCS.
 func TestDeterminismMatrixManaged(t *testing.T) {
 	runMatrix(t, "managed/fair-share", func(shards int) *Report {
 		cfg := SchedulingConfig{
@@ -104,8 +107,9 @@ func TestDeterminismMatrixManaged(t *testing.T) {
 }
 
 // TestDeterminismMatrixManagedLookahead drives the bounded-lookahead
-// engine — Quantum epochs, reservation feeds, work stealing across an
-// 8-instance fleet so shards=8 runs unclamped — through the matrix.
+// engine — Quantum epochs and reservation feeds on an 8-instance fleet —
+// through the matrix; like the managed engine, it runs inline under
+// RunSharded.
 func TestDeterminismMatrixManagedLookahead(t *testing.T) {
 	runMatrix(t, "managed/lookahead", func(shards int) *Report {
 		cfg := SchedulingConfig{
@@ -135,7 +139,7 @@ func TestDeterminismMatrixManagedLookahead(t *testing.T) {
 // TestDeterminismMatrixParallelTrace closes the loop with the
 // counter-based generator: a GenStressParallel trace (whose own
 // worker-count invariance is pinned in the workload package) replayed
-// through the sharded engine stays bit-identical across the matrix.
+// through the partitioned engine stays bit-identical across the matrix.
 func TestDeterminismMatrixParallelTrace(t *testing.T) {
 	model := lmm.QwenVL7B()
 	cfg := workload.DefaultStress(4000, 19)

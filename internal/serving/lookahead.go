@@ -9,16 +9,13 @@ import (
 	"valora/internal/workload"
 )
 
-// Bounded-lookahead admission: the managed engine that stays parallel
-// under backlog.
+// Bounded-lookahead admission: a managed engine whose placement is
+// decided only at epoch barriers.
 //
-// The classic managed sharded runner (runManagedSharded) collapses to
-// exact global-order stepping whenever the cluster queue holds work,
-// because the sequential engine it mirrors may place a request after
-// any instance step — every step is a potential coupling point. The
-// lookahead engine removes that coupling by construction instead of
-// detecting it: placement is *decided only at epoch barriers*. There,
-// with every instance quiesced, the coordinator
+// The classic managed engine (runManaged) may place a request after
+// any instance step, so every step is a potential coupling point. The
+// lookahead engine removes that coupling by construction: at each
+// barrier, with every instance quiesced, the coordinator
 //
 //  1. folds in what the epoch produced (delivery-time sheds), returns
 //     unconsumed reservations to the queue position-exactly
@@ -32,28 +29,26 @@ import (
 //
 // Mid-epoch, a reservation is consumed the moment its instance drops
 // below the HighWater in-flight bound — the same backpressure test the
-// classic dispatcher applies, evaluated shard-locally by the owning
-// worker, so no barrier is needed for it. Since nothing outside an
-// instance's own state gates its reservations, instances are
-// independent for the whole epoch and the horizon can stay coarse:
-// the next arrival while the queue is empty, now+Quantum while it
-// holds unreserved work.
+// classic dispatcher applies, evaluated from the instance's own state.
+// Since nothing outside an instance gates its reservations, instances
+// are independent for the whole epoch and advance one at a time on a
+// sim.Shard; the horizon can stay coarse: the next arrival while the
+// queue is empty, now+Quantum while it holds unreserved work.
 //
 // This is an opt-in admission semantics (SchedulingConfig.Lookahead),
 // not a re-derivation of runManaged: placement revision happens at
-// barrier granularity instead of after every instance step. The
-// sequential engine honours the same semantics by running this exact
-// code on an unstarted ShardGroup (inline advancement), which is what
-// makes sharded reports bit-identical to sequential ones by
-// construction rather than by argument.
+// barrier granularity instead of after every instance step. Run and
+// RunSharded both execute this engine inline; running its epochs on
+// worker goroutines measured no faster than inline on a multi-core
+// host, so the engine has no parallel mode.
 
 // reservedFeed is one instance's reservation channel: the coordinator
-// parks barrier-reserved placements here and the owning shard worker
-// delivers them as the instance's in-flight count allows. A
-// reservation whose deadline expired before its delivery moment is
-// recorded in sheds rather than submitted — delivery moments are
-// deterministic virtual times, so the shed set is too — and folded
-// into the coordinator's accounting at the next barrier.
+// parks barrier-reserved placements here and the shard delivers them
+// as the instance's in-flight count allows. A reservation whose
+// deadline expired before its delivery moment is recorded in sheds
+// rather than submitted — delivery moments are deterministic virtual
+// times, so the shed set is too — and folded into the coordinator's
+// accounting at the next barrier.
 type reservedFeed struct {
 	srv  *Server
 	hw   int
@@ -110,10 +105,8 @@ func (f *reservedFeed) reset() {
 }
 
 // runManagedLookahead drives a managed cluster under bounded-lookahead
-// admission on shards shard workers; parallel=false keeps the group
-// unstarted so the same engine advances inline as the sequential
-// reference. See the file comment for the protocol.
-func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel bool) (*Report, error) {
+// admission. See the file comment for the protocol.
+func (c *Cluster) runManagedLookahead(trace workload.Trace) (*Report, error) {
 	cfg := c.sched
 	la := cfg.Lookahead
 	tq := sched.NewTenantQueue(cfg.FairShare, cfg.Tenants...)
@@ -155,23 +148,28 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 	var shedNow time.Duration
 	dropExpired := func(x *sched.Request) { shed(x, shedNow) }
 
+	// NewManagedCluster rejects Lookahead+Preemption; the preempt
+	// handler records any requeue that slips through so the next
+	// barrier fails the run instead of letting it silently diverge.
+	var requeues int
+	var requeueAt time.Duration
+	var fleet sim.Shard
 	feeds := make([]*reservedFeed, len(c.servers))
-	group, homes := c.buildShards(shards, func(i int) sim.Feed {
-		feeds[i] = &reservedFeed{srv: c.servers[i], hw: cfg.HighWater}
-		return feeds[i]
-	})
-	// NewManagedCluster rejects Lookahead+Preemption; the handler turns
-	// any requeue that slips through into a deterministic barrier
-	// failure instead of a silent divergence, like runManagedSharded.
 	for i, srv := range c.servers {
-		h := homes[i]
+		feeds[i] = &reservedFeed{srv: srv, hw: cfg.HighWater}
+		fleet.Add(srv, feeds[i])
 		srv := srv
-		srv.SetPreemptHandler(func(r *sched.Request) { h.shard.EmitProc(h.idx, srv.Now(), r) })
+		srv.SetPreemptHandler(func(*sched.Request) {
+			if requeues == 0 {
+				requeueAt = srv.Now()
+			}
+			requeues++
+		})
 	}
 	guard := func() error {
-		if mail := group.DrainOutboxes(); len(mail) > 0 {
+		if requeues > 0 {
 			return fmt.Errorf("serving: lookahead run saw %d cross-shard preemption requeue(s) at t=%v; NewManagedCluster should have rejected this configuration",
-				len(mail), mail[0].At)
+				requeues, requeueAt)
 		}
 		return nil
 	}
@@ -259,14 +257,10 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 	}
 
 	ordered := arrivalOrder(trace)
-	if parallel {
-		group.Start()
-		defer group.Stop()
-	}
 	idx := 0
 	now := time.Duration(0)
 	for {
-		// Barrier: the group is quiesced, the coordinator owns all state.
+		// Barrier: every instance is quiesced.
 		collectSheds()
 		returnUnconsumed()
 		if err := guard(); err != nil {
@@ -291,7 +285,7 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 		} else if idx < len(ordered) {
 			horizon = ordered[idx].Arrival
 		}
-		if err := group.AdvanceAll(horizon); err != nil {
+		if err := fleet.AdvanceTo(horizon); err != nil {
 			return nil, err
 		}
 		if horizon == sim.Never {

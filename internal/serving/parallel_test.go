@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,12 +15,14 @@ import (
 	"valora/internal/workload"
 )
 
-// The sharded engine's acceptance gate: for every configuration,
-// RunSharded is bit-identical to Run — reflect.DeepEqual on the whole
-// Report, not a tolerance check — across shard counts, seeds, dispatch
-// policies, and the managed path. Traces are regenerated per run
-// (requests mutate in place) and clusters are rebuilt per run
-// (dispatch policies carry state).
+// RunSharded's acceptance gate: for every configuration, RunSharded is
+// bit-identical to Run — reflect.DeepEqual on the whole Report, not a
+// tolerance check — across shard counts, seeds, dispatch policies, and
+// the managed path. Only partitioned runs (unmanaged, stateless
+// dispatch, no store) take a parallel path; the rest must fall back to
+// the sequential engine. Traces are regenerated per run (requests
+// mutate in place) and clusters are rebuilt per run (dispatch policies
+// carry state).
 
 var shardCounts = []int{1, 2, 4, 8}
 
@@ -30,9 +33,9 @@ func checkReportIdentical(t *testing.T, want, got *Report, label string) {
 	}
 }
 
-// TestShardedUnmanagedBitIdentical covers both unmanaged modes: the
-// partitioned fast path (round-robin, stateless) and the epoch-barrier
-// path (policies that read live instance state).
+// TestShardedUnmanagedBitIdentical covers the unmanaged fleet: the
+// partitioned fast path (round-robin, stateless) and the sequential
+// fallback for policies that read live instance state.
 func TestShardedUnmanagedBitIdentical(t *testing.T) {
 	model := lmm.QwenVL7B()
 	policies := []struct {
@@ -73,9 +76,9 @@ func TestShardedUnmanagedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedManagedBitIdentical exercises the mixed epoch/global-order
-// managed runner (admission, fair-share and FIFO queueing, deadline
-// shedding, backpressure) against the sequential engine.
+// TestShardedManagedBitIdentical replays the managed engine (admission,
+// fair-share and FIFO queueing, deadline shedding, backpressure)
+// through RunSharded against Run.
 func TestShardedManagedBitIdentical(t *testing.T) {
 	for _, fair := range []bool{true, false} {
 		for _, seed := range []int64{11, 42} {
@@ -113,12 +116,11 @@ func TestShardedManagedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedManagedLookaheadBitIdentical exercises the bounded-
-// lookahead engine in its target regime — a saturated managed fleet —
-// and checks the sharded runs are bit-identical to the sequential
-// reference (which runs the same engine inline). Saturation is
-// asserted, not assumed: a trace that never backs up the queue would
-// leave the Quantum-epoch path untested.
+// TestShardedManagedLookaheadBitIdentical replays the bounded-lookahead
+// engine in its target regime — a saturated managed fleet — through
+// RunSharded against Run. Saturation is asserted, not assumed: a trace
+// that never backs up the queue would leave the Quantum-epoch path
+// untested.
 func TestShardedManagedLookaheadBitIdentical(t *testing.T) {
 	for _, fair := range []bool{true, false} {
 		for _, seed := range []int64{11, 42} {
@@ -132,9 +134,6 @@ func TestShardedManagedLookaheadBitIdentical(t *testing.T) {
 				cl, err := NewManagedCluster(4, NewLeastLoaded(), cfg, managedBuild(t))
 				if err != nil {
 					t.Fatal(err)
-				}
-				if mode := cl.planShards(); mode != shardManagedLookahead {
-					t.Fatalf("planner classified mode %d, want managed-lookahead", mode)
 				}
 				trace := workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 6, seed))
 				var rep *Report
@@ -215,23 +214,50 @@ func TestLookaheadConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardedCoupledConfigsDelegate pins the planner's conservative
-// side: preemption, autoscaling and the shared registry store make
-// every instance step a potential coupling point, so RunSharded must
-// classify them sequential and still return bit-identical reports.
+// TestShardedCoupledConfigsDelegate pins the planner and its
+// fallback: only the round-robin fleet is partitioned; state-reading
+// dispatch, the managed engines (fair-share and lookahead), preemption,
+// autoscaling and the shared registry store couple instances and
+// delegate to Run, and RunSharded at every shard count serializes
+// byte-identically to Run.
 func TestShardedCoupledConfigsDelegate(t *testing.T) {
 	model := lmm.QwenVL7B()
 	adapters := lora.MakeUniformAdapters(model, 16, model.DefaultRank)
 	ab := adapters[0].Bytes()
 
+	unmanaged := func(d func() DispatchPolicy) func() (*Cluster, workload.Trace) {
+		return func() (*Cluster, workload.Trace) {
+			cl, err := NewClusterWithDispatch(4, d(), swapConstrained(model))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cl, skewedSwapTrace(7)
+		}
+	}
+	managed := func(la *LookaheadConfig) func() (*Cluster, workload.Trace) {
+		return func() (*Cluster, workload.Trace) {
+			cfg := SchedulingConfig{Tenants: tenantClasses(), FairShare: true, HighWater: 4, Lookahead: la}
+			cl, err := NewManagedCluster(4, NewLeastLoaded(), cfg, managedBuild(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cl, workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 6, 11))
+		}
+	}
 	cases := []struct {
-		name  string
-		build func() (*Cluster, workload.Trace)
+		name        string
+		partitioned bool
+		build       func() (*Cluster, workload.Trace)
 	}{
-		{"preemption", func() (*Cluster, workload.Trace) {
+		{"round-robin", true, unmanaged(func() DispatchPolicy { return NewRoundRobin() })},
+		{"least-loaded", false, unmanaged(func() DispatchPolicy { return NewLeastLoaded() })},
+		{"adapter-affinity", false, unmanaged(func() DispatchPolicy { return NewAdapterAffinity() })},
+		{"managed-fair-share", false, managed(nil)},
+		{"managed-lookahead", false, managed(&LookaheadConfig{Quantum: 50 * time.Millisecond})},
+		{"preemption", false, func() (*Cluster, workload.Trace) {
 			return preemptCluster(t, 2), adversarialTrace(9, 600)
 		}},
-		{"autoscale", func() (*Cluster, workload.Trace) {
+		{"autoscale", false, func() (*Cluster, workload.Trace) {
 			as := &AutoscaleConfig{Min: 1, Max: 4, HighDepth: 32, LowDepth: 4, Cooldown: time.Second}
 			cfg := SchedulingConfig{Tenants: tenantClasses(), FairShare: true, HighWater: 8, Autoscale: as}
 			cl, err := NewManagedCluster(1, NewLeastLoaded(), cfg, managedBuild(t))
@@ -240,7 +266,7 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 			}
 			return cl, workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 1, 42))
 		}},
-		{"registry-store", func() (*Cluster, workload.Trace) {
+		{"registry-store", false, func() (*Cluster, workload.Trace) {
 			store := registry.NewStore(registry.Config{
 				HostCapacity:    10 * ab,
 				RemoteLatency:   5 * time.Millisecond,
@@ -281,27 +307,31 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		cl, _ := tc.build()
-		if mode := cl.planShards(); mode != shardSequential {
-			t.Fatalf("%s: planner classified mode %d, want sequential delegation", tc.name, mode)
-		}
 		seq, trace := tc.build()
-		want, err := seq.Run(trace)
+		if got := seq.partitioned(); got != tc.partitioned {
+			t.Fatalf("%s: partitioned = %v, want %v", tc.name, got, tc.partitioned)
+		}
+		rep, err := seq.Run(trace)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", tc.name, err)
 		}
-		for _, shards := range []int{1, 4} {
+		want := marshalReport(t, rep)
+		for _, shards := range shardCounts {
 			sh, trace := tc.build()
-			got, err := sh.RunSharded(trace, shards)
+			rep, err := sh.RunSharded(trace, shards)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
 			}
-			checkReportIdentical(t, want, got, tc.name)
+			if got := marshalReport(t, rep); !bytes.Equal(want, got) {
+				t.Fatalf("%s shards=%d: sharded report diverges from sequential\nsequential:\n%s\nsharded:\n%s",
+					tc.name, shards, want, got)
+			}
 		}
 	}
 }
 
-// TestShardPlannerModes pins each configuration to its planned mode.
+// TestShardPlannerModes pins each configuration to its planned mode:
+// only the unmanaged round-robin fleet is partitioned.
 func TestShardPlannerModes(t *testing.T) {
 	model := lmm.QwenVL7B()
 	unmanaged := func(d DispatchPolicy) *Cluster {
@@ -311,19 +341,19 @@ func TestShardPlannerModes(t *testing.T) {
 		}
 		return cl
 	}
-	if got := unmanaged(NewRoundRobin()).planShards(); got != shardPartitioned {
-		t.Fatalf("round-robin: mode %d, want partitioned", got)
+	if !unmanaged(NewRoundRobin()).partitioned() {
+		t.Fatal("round-robin: not partitioned, want partitioned")
 	}
-	if got := unmanaged(NewLeastLoaded()).planShards(); got != shardEpoch {
-		t.Fatalf("least-loaded: mode %d, want epoch", got)
+	if unmanaged(NewLeastLoaded()).partitioned() {
+		t.Fatal("least-loaded: partitioned, want delegated to Run")
 	}
 	cfg := SchedulingConfig{Tenants: tenantClasses(), FairShare: true, HighWater: 8}
 	cl, err := NewManagedCluster(2, NewRoundRobin(), cfg, managedBuild(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.planShards(); got != shardManaged {
-		t.Fatalf("managed plain: mode %d, want managed", got)
+	if cl.partitioned() {
+		t.Fatal("managed round-robin: partitioned, want delegated to Run")
 	}
 }
 

@@ -96,12 +96,9 @@ type SchedulingConfig struct {
 	// coordinator reserves up to Slots placements per instance and
 	// pre-routes them as private feed deliveries, each consumed the
 	// moment its instance drops below HighWater. Epochs stay coarse
-	// (arrival-to-arrival, or Quantum while the queue holds work)
-	// instead of collapsing to exact global-order stepping under
-	// backlog, so sharded managed runs keep their parallelism at
-	// saturation — the regime the sharded engine previously lost.
-	// The sequential engine honours the same semantics, so reports
-	// stay bit-identical across shard counts. Incompatible with
+	// (arrival-to-arrival, or Quantum while the queue holds work), so
+	// a saturated fleet runs far fewer admission passes than the
+	// classic per-step placement. Incompatible with
 	// Autoscale, Store, and instance-level Preemption (their coupling
 	// defeats the reservation proof); NewManagedCluster rejects such
 	// combinations.
@@ -117,7 +114,7 @@ type LookaheadConfig struct {
 	Slots int
 	// Quantum bounds an epoch's virtual-time length while the cluster
 	// queue still holds unreserved work; larger quanta amortize more
-	// parallel step work per barrier at the cost of coarser placement
+	// instance step work per barrier at the cost of coarser placement
 	// revision. Default 20ms.
 	Quantum time.Duration
 }

@@ -17,8 +17,6 @@ type shardProc struct {
 	rem   int
 	iter  time.Duration
 	log   []string
-	shard *Shard // when set, every step also emits to the proc's outbox
-	pidx  int    // shard-local index, for EmitProc
 }
 
 type shardJob struct {
@@ -56,9 +54,6 @@ func (p *shardProc) Step() (bool, error) {
 	p.clock += p.iter
 	p.rem--
 	p.log = append(p.log, fmt.Sprintf("p%d@%v", p.id, p.clock))
-	if p.shard != nil {
-		p.shard.EmitProc(p.pidx, p.clock, fmt.Sprintf("done p%d@%v", p.id, p.clock))
-	}
 	return true, nil
 }
 
@@ -146,35 +141,30 @@ func checkSameLogs(t *testing.T, want, got []*shardProc, label string) {
 	}
 }
 
-// TestShardFeedMatchesTimeline drains fed shards in one unbounded
-// epoch and checks every process's observable history is bit-identical
-// to the sequential Timeline, across shard counts.
+// TestShardFeedMatchesTimeline drains fed processes in one parallel
+// drain and checks every process's observable history is bit-identical
+// to the sequential Timeline, across worker counts (1 drains inline; 8
+// exceeds the process count and is clamped).
 func TestShardFeedMatchesTimeline(t *testing.T) {
 	jobs := genJobs(8)
 	want := runSequential(t, jobs)
-	for _, shards := range []int{1, 2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8, 16} {
 		procs := newProcs(len(jobs), 2*time.Millisecond)
-		group := make([]*Shard, shards)
-		for s := range group {
-			group[s] = NewShard(s)
-		}
+		var sh Shard
 		for i, p := range procs {
-			group[i%shards].Add(p, &jobFeed{proc: p, jobs: jobs[i]})
+			sh.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
 		}
-		g := NewShardGroup(group...)
-		g.Start()
-		if err := g.AdvanceAll(Never); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+		if err := sh.Drain(workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		g.Stop()
-		checkSameLogs(t, want, procs, fmt.Sprintf("shards=%d", shards))
+		checkSameLogs(t, want, procs, fmt.Sprintf("workers=%d", workers))
 	}
 }
 
 // TestShardEpochBarriers splits the same run into many epochs (the
-// coordinator submits each job at its own barrier instead of using
-// feeds) and checks the result is still identical: occurrences at
-// exactly the horizon stay on the far side of the barrier.
+// caller submits each job at its own horizon instead of using feeds)
+// and checks the result is still identical: occurrences at exactly the
+// horizon stay on the far side of it.
 func TestShardEpochBarriers(t *testing.T) {
 	jobs := genJobs(5)
 	want := runSequential(t, jobs)
@@ -197,21 +187,14 @@ func TestShardEpochBarriers(t *testing.T) {
 	}
 
 	procs := newProcs(len(jobs), 2*time.Millisecond)
-	shA, shB := NewShard(0), NewShard(1)
-	for i, p := range procs {
-		if i%2 == 0 {
-			shA.Add(p, nil)
-		} else {
-			shB.Add(p, nil)
-		}
+	var sh Shard
+	for _, p := range procs {
+		sh.Add(p, nil)
 	}
-	g := NewShardGroup(shA, shB)
-	g.Start()
-	defer g.Stop()
 	idx := 0
 	for idx < len(arrivals) {
 		horizon := arrivals[idx].at
-		if err := g.AdvanceAll(horizon); err != nil {
+		if err := sh.AdvanceTo(horizon); err != nil {
 			t.Fatal(err)
 		}
 		for idx < len(arrivals) && arrivals[idx].at == horizon {
@@ -220,52 +203,10 @@ func TestShardEpochBarriers(t *testing.T) {
 			idx++
 		}
 	}
-	if err := g.AdvanceAll(Never); err != nil {
+	if err := sh.AdvanceTo(Never); err != nil {
 		t.Fatal(err)
 	}
 	checkSameLogs(t, want, procs, "epoch barriers")
-}
-
-// TestOutboxCanonicalOrder checks DrainOutboxes yields the
-// (At, Shard, Proc, Seq) merge regardless of worker interleaving or
-// which worker (home or thief) advanced a process.
-func TestOutboxCanonicalOrder(t *testing.T) {
-	jobs := genJobs(4)
-	var first []Mail
-	for round := 0; round < 3; round++ {
-		procs := newProcs(len(jobs), 2*time.Millisecond)
-		shards := []*Shard{NewShard(0), NewShard(1)}
-		for i, p := range procs {
-			p.shard = shards[i%2]
-			p.pidx = p.shard.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
-		}
-		g := NewShardGroup(shards...)
-		g.Start()
-		if err := g.AdvanceAll(Never); err != nil {
-			t.Fatal(err)
-		}
-		g.Stop()
-		// DrainOutboxes returns the group's reusable buffer; copy to
-		// compare across rounds.
-		mail := append([]Mail(nil), g.DrainOutboxes()...)
-		for i := 1; i < len(mail); i++ {
-			if !mailLess(mail[i-1], mail[i]) {
-				t.Fatalf("round %d: mail %d and %d out of canonical order: %+v then %+v", round, i-1, i, mail[i-1], mail[i])
-			}
-		}
-		if round == 0 {
-			first = mail
-			continue
-		}
-		if len(mail) != len(first) {
-			t.Fatalf("round %d: %d mail items, first round had %d", round, len(mail), len(first))
-		}
-		for i := range mail {
-			if mail[i] != first[i] {
-				t.Fatalf("round %d: mail %d = %+v, first round %+v", round, i, mail[i], first[i])
-			}
-		}
-	}
 }
 
 // errProc fails its Step; used to check deterministic error selection.
@@ -274,167 +215,67 @@ type errProc struct{ id int }
 func (p *errProc) NextEventAt() time.Duration { return time.Millisecond }
 func (p *errProc) Step() (bool, error)        { return false, fmt.Errorf("proc %d boom", p.id) }
 
-// TestAdvanceAllDeterministicError checks the failing process with the
-// lowest (shard, process) identity wins regardless of scheduling —
-// every shard here fails concurrently, and within a shard two
-// processes fail, so both tiers of the tie-break are exercised.
+// TestAdvanceAllDeterministicError checks a parallel drain reports the
+// lowest-index failing process regardless of which worker claimed it:
+// every process fails, concurrently, on four workers.
 func TestAdvanceAllDeterministicError(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		shards := make([]*Shard, 4)
-		for i := range shards {
-			shards[i] = NewShard(i)
-			shards[i].Add(&errProc{id: i * 10}, nil)
-			shards[i].Add(&errProc{id: i*10 + 1}, nil)
+		var sh Shard
+		for i := 0; i < 8; i++ {
+			sh.Add(&errProc{id: i}, nil)
 		}
-		g := NewShardGroup(shards...)
-		g.Start()
-		err := g.AdvanceAll(Never)
-		g.Stop()
-		if err == nil || err.Error() != "proc 0 boom" {
+		if err := sh.Drain(4); err == nil || err.Error() != "proc 0 boom" {
 			t.Fatalf("round %d: got error %v, want proc 0's", round, err)
 		}
 	}
 }
 
-// TestAdvanceAllInlineError checks the stopped-group (inline) path
-// reports the same deterministic error as the live path.
+// TestAdvanceAllInlineError checks the inline paths (AdvanceTo and a
+// one-worker Drain) report the same error as the parallel drain.
 func TestAdvanceAllInlineError(t *testing.T) {
-	shards := make([]*Shard, 3)
-	for i := range shards {
-		shards[i] = NewShard(i)
-		shards[i].Add(&errProc{id: i}, nil)
+	var sh Shard
+	for i := 0; i < 3; i++ {
+		sh.Add(&errProc{id: i}, nil)
 	}
-	g := NewShardGroup(shards...)
-	if err := g.AdvanceAll(Never); err == nil || err.Error() != "proc 0 boom" {
-		t.Fatalf("inline: got error %v, want proc 0's", err)
+	if err := sh.AdvanceTo(Never); err == nil || err.Error() != "proc 0 boom" {
+		t.Fatalf("AdvanceTo: got error %v, want proc 0's", err)
+	}
+	if err := sh.Drain(1); err == nil || err.Error() != "proc 0 boom" {
+		t.Fatalf("Drain(1): got error %v, want proc 0's", err)
 	}
 }
 
-// TestShardGroupLifecycle drives the same workload through a mix of
-// live and stopped phases: Start idempotence, Stop → inline fallback
-// mid-run, and restart after Stop must all leave the observable
-// history bit-identical to the sequential reference.
-func TestShardGroupLifecycle(t *testing.T) {
-	jobs := genJobs(6)
-	want := runSequential(t, jobs)
-
-	procs := newProcs(len(jobs), 2*time.Millisecond)
-	shards := []*Shard{NewShard(0), NewShard(1), NewShard(2)}
-	for i, p := range procs {
-		shards[i%3].Add(p, &jobFeed{proc: p, jobs: jobs[i]})
-	}
-	g := NewShardGroup(shards...)
-
-	g.Start()
-	g.Start() // idempotent: second Start must not double the workers
-	if err := g.AdvanceAll(20 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	g.Stop()
-	g.Stop() // idempotent
-	// Stopped group: AdvanceAll falls back to inline advancement.
-	if err := g.AdvanceAll(40 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// Restart after Stop resumes parallel epochs.
-	g.Start()
-	if err := g.AdvanceAll(Never); err != nil {
-		t.Fatal(err)
-	}
-	g.Stop()
-	checkSameLogs(t, want, procs, "lifecycle")
-}
-
-// TestWorkStealingUnevenShards loads one shard with almost all of the
-// work so the steal path must carry it: with 2 shards and 7 of 8 procs
-// on shard 0, the run only matches the sequential reference if thieves
-// advance processes they don't own without breaking per-process state
-// or outbox order.
+// TestWorkStealingUnevenShards gives one process almost all of the
+// work and runs part of the schedule in inline epochs before a
+// two-worker drain finishes it: whichever worker claims the heavy
+// process, and wherever the epochs left each process, the histories
+// must match the sequential reference.
 func TestWorkStealingUnevenShards(t *testing.T) {
 	jobs := genJobs(8)
+	for i := 1; i < len(jobs); i++ {
+		jobs[i] = jobs[i][:2]
+	}
 	want := runSequential(t, jobs)
 
 	procs := newProcs(len(jobs), 2*time.Millisecond)
-	heavy, light := NewShard(0), NewShard(1)
+	var sh Shard
 	for i, p := range procs {
-		sh := heavy
-		if i == len(procs)-1 {
-			sh = light
-		}
-		p.shard = sh
-		p.pidx = sh.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
+		sh.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
 	}
-	g := NewShardGroup(heavy, light)
-	g.Start()
-	defer g.Stop()
-	// Many epochs, so steal cursors are reset and re-raced repeatedly.
-	for h := 5 * time.Millisecond; ; h += 5 * time.Millisecond {
-		if err := g.AdvanceAll(h); err != nil {
+	for h := 5 * time.Millisecond; h <= 40*time.Millisecond; h += 5 * time.Millisecond {
+		if err := sh.AdvanceTo(h); err != nil {
 			t.Fatal(err)
 		}
-		if g.NextAt() == Never {
-			break
-		}
 	}
-	if err := g.AdvanceAll(Never); err != nil {
+	if err := sh.Drain(2); err != nil {
 		t.Fatal(err)
 	}
-	checkSameLogs(t, want, procs, "steal uneven")
-	mail := g.DrainOutboxes()
-	for i := 1; i < len(mail); i++ {
-		if !mailLess(mail[i-1], mail[i]) {
-			t.Fatalf("mail %d and %d out of canonical order: %+v then %+v", i-1, i, mail[i-1], mail[i])
-		}
-	}
-}
-
-// TestMailboxDrainReusesCapacity gates the barrier-path allocation
-// contract: once a box and the group merge buffer have grown, an
-// emit → drain cycle allocates nothing.
-func TestMailboxDrainReusesCapacity(t *testing.T) {
-	sh := NewShard(0)
-	p := &shardProc{id: 0, iter: time.Millisecond}
-	p.shard, p.pidx = sh, sh.Add(p, nil)
-	g := NewShardGroup(sh)
-
-	emit := func() {
-		for i := 0; i < 16; i++ {
-			sh.EmitProc(0, time.Duration(16-i)*time.Millisecond, i)
-		}
-	}
-	// Warm the buffers, then measure.
-	emit()
-	g.DrainOutboxes()
-	allocs := testing.AllocsPerRun(100, func() {
-		emit()
-		if got := g.DrainOutboxes(); len(got) != 16 {
-			t.Fatalf("drained %d items, want 16", len(got))
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("emit+DrainOutboxes allocated %.1f times per run, want 0", allocs)
-	}
-
-	emit()
-	box := &sh.outs[0]
-	first := box.Drain()
-	if len(first) != 16 {
-		t.Fatalf("Drain returned %d items, want 16", len(first))
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		emit()
-		if got := box.Drain(); len(got) != 16 {
-			t.Fatalf("drained %d items, want 16", len(got))
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("emit+Drain allocated %.1f times per run, want 0", allocs)
-	}
+	checkSameLogs(t, want, procs, "uneven drain")
 }
 
 // TestShardNoProgressError mirrors Timeline's liveness contract.
 func TestShardNoProgressError(t *testing.T) {
-	sh := NewShard(0)
+	var sh Shard
 	sh.Add(stuckProc{}, nil)
 	if err := sh.AdvanceTo(Never); err == nil {
 		t.Fatal("expected a no-progress error")

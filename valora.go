@@ -310,13 +310,12 @@ func (c *ClusterSystem) Serve(trace Trace) (*Report, error) {
 	return c.cluster.Run(trace)
 }
 
-// ServeSharded replays a trace on the parallel sharded engine:
-// instances are partitioned across shards worker goroutines,
-// synchronized only at the points that couple them. The report is
-// bit-identical to Serve's — shard count changes wall-clock time only.
-// Configurations whose coupling requires a global event order (shared
-// registry store, autoscaling, preemption) transparently run
-// sequentially.
+// ServeSharded replays a trace like Serve, draining the replicas on up
+// to shards worker goroutines when dispatch is stateless (round-robin)
+// and no adapter Store is shared: routing is then precomputed from the
+// trace and the replicas never synchronize. The report is bit-identical
+// to Serve's — shard count changes wall-clock time only. Every other
+// configuration runs sequentially, exactly as Serve.
 func (c *ClusterSystem) ServeSharded(trace Trace, shards int) (*Report, error) {
 	return c.cluster.RunSharded(trace, shards)
 }
