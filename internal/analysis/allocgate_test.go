@@ -168,41 +168,50 @@ func TestObserveZeroAlloc(t *testing.T) {
 	})
 }
 
-// Chunk-mode Store.Demand on a resident adapter is the per-iteration
-// resolve/refcount hot path: key lookup, all-chunks-resident scan, LRU
-// touch of the adapter and each of its chunks — no fetch machinery.
+// Store.Demand on a resident adapter is the per-iteration resolve hot
+// path: key lookup, LRU touch and quota-pin rotation — no fetch
+// machinery. A whole-blob store (ChunkSize 0) runs the same path with
+// one chunk per adapter; a chunked store adds the family-shared chunks.
 func TestChunkDemandResidentZeroAlloc(t *testing.T) {
 	model := lmm.QwenVL7B()
 	adapters := lora.MakeUniformAdapters(model, 4, model.DefaultRank)
 	ab := adapters[0].Bytes()
-	cat := registry.CatalogFromFamilies(adapters, nil, func(id int) (string, int64) {
-		return "fam", ab / 2
-	})
-	store := registry.NewStore(registry.Config{
-		HostCapacity:    16 * ab,
-		RemoteLatency:   time.Millisecond,
-		RemoteBandwidth: 1e9,
-		ChunkSize:       ab / 16,
-	}, cat)
-	// Materialize adapters 0 and 1, then drain every in-flight chunk.
-	for id := 0; id < 2; id++ {
-		if st, _, _ := store.Demand(id, 0); st == registry.StatusDenied {
-			t.Fatalf("adapter %d: fetch denied", id)
-		}
-	}
-	for store.NextFetchDone() >= 0 {
-		store.Advance(store.NextFetchDone())
-	}
-	now := time.Second
-	gate(t, "Store.Demand (chunked, resident)", func() {
-		now += time.Microsecond
+	for _, tc := range []struct {
+		name      string
+		chunkSize int64
+	}{
+		{"whole-blob", 0},
+		{"chunked", ab / 16},
+	} {
+		cat := registry.CatalogFromFamilies(adapters, nil, func(id int) (string, int64) {
+			return "fam", ab / 2
+		})
+		store := registry.NewStore(registry.Config{
+			HostCapacity:    16 * ab,
+			RemoteLatency:   time.Millisecond,
+			RemoteBandwidth: 1e9,
+			ChunkSize:       tc.chunkSize,
+		}, cat)
+		// Materialize adapters 0 and 1, then drain every in-flight chunk.
 		for id := 0; id < 2; id++ {
-			if st, _, _ := store.Demand(id, now); st != registry.StatusHit {
-				t.Fatalf("adapter %d: status %v, want hit", id, st)
+			if st, _, _ := store.Demand(id, 0); st == registry.StatusDenied {
+				t.Fatalf("%s adapter %d: fetch denied", tc.name, id)
 			}
 		}
-		if !store.HostResident(1, now) {
-			t.Fatal("adapter 1 not resident")
+		for store.NextFetchDone() >= 0 {
+			store.Advance(store.NextFetchDone())
 		}
-	})
+		now := time.Second
+		gate(t, "Store.Demand ("+tc.name+", resident)", func() {
+			now += time.Microsecond
+			for id := 0; id < 2; id++ {
+				if st, _, _ := store.Demand(id, now); st != registry.StatusHit {
+					t.Fatalf("%s adapter %d: status %v, want hit", tc.name, id, st)
+				}
+			}
+			if !store.HostResident(1, now) {
+				t.Fatalf("%s adapter 1 not resident", tc.name)
+			}
+		})
+	}
 }

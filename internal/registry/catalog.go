@@ -182,9 +182,9 @@ func chunkDigest(e *Entry, index int, shared bool) uint64 {
 }
 
 // sharedChunkCount reports how many whole leading chunks of an entry
-// are family-shared at the given chunk size.
+// are family-shared at the given chunk size (none at chunk size 0).
 func sharedChunkCount(e *Entry, chunkSize int64) int {
-	if e.Family == "" || e.SharedBytes <= 0 {
+	if e.Family == "" || e.SharedBytes <= 0 || chunkSize <= 0 {
 		return 0
 	}
 	return int(e.SharedBytes / chunkSize)
@@ -193,14 +193,18 @@ func sharedChunkCount(e *Entry, chunkSize int64) int {
 // chunkSpans lists an entry's ordered (digest, bytes) chunk spans at
 // the given chunk size: fixed-size chunks, the last one holding the
 // remainder. The leading sharedChunkCount spans carry family-shared
-// addresses.
+// addresses. Chunk size 0 (a whole-blob store) makes the whole blob
+// one private chunk.
 func chunkSpans(e *Entry, chunkSize int64) []ChunkSpan {
 	total := e.Adapter.Bytes()
+	sharedN := sharedChunkCount(e, chunkSize)
+	if chunkSize <= 0 {
+		chunkSize = max(total, 1)
+	}
 	n := int((total + chunkSize - 1) / chunkSize)
 	if n == 0 {
 		n = 1
 	}
-	sharedN := sharedChunkCount(e, chunkSize)
 	out := make([]ChunkSpan, n)
 	for i := 0; i < n; i++ {
 		b := chunkSize

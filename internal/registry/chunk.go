@@ -1,22 +1,21 @@
 package registry
 
 import (
-	"fmt"
 	"hash/fnv"
 	"time"
 )
 
-// This file is the chunk-mode host tier (Config.ChunkSize > 0): the
-// store stops moving whole adapter blobs and instead content-addresses
-// each adapter as an ordered list of fixed-size chunks (catalog.go).
-// Residency is refcounted at the chunk level — an adapter is host-hit
-// iff all its chunks are resident, eviction frees only chunks no
-// resident adapter references — and the remote side is R replica
-// links, each a per-tenant weighted fair queue (link.go), that
-// transfer only the chunks not already resident or in flight. Family
-// siblings share their base-delta prefix chunks, so a sibling of a
-// warm adapter fetches only its private tail. The whole-blob path
-// (ChunkSize == 0) is untouched byte-for-byte.
+// This file is the host tier's data path. The store content-addresses
+// each adapter as an ordered list of chunks (catalog.go). Residency is
+// refcounted at the chunk level — an adapter is host-hit iff all its
+// chunks are resident, eviction frees only chunks no resident adapter
+// references — and the remote side is R replica links, each a
+// per-tenant weighted fair queue (link.go), that transfer only the
+// chunks not already resident or in flight. Family siblings share
+// their base-delta prefix chunks, so a sibling of a warm adapter
+// fetches only its private tail. A whole-blob store (ChunkSize 0) is
+// the one-chunk case of the same path: every adapter is one private
+// chunk on one FIFO link.
 
 // chunk is one content-addressed span of adapter bytes in the host
 // tier.
@@ -30,87 +29,69 @@ type chunk struct {
 	refs     int
 	resident bool
 	fetching bool
-	tr       *transfer      // the queued/in-flight transfer while fetching
+	tr       *transfer       // the queued/in-flight transfer while fetching
 	waiters  []*chunkAdapter // fetching adapters awaiting this chunk
 }
 
 // chunkAdapter is one adapter's (or family warm-set prefix's) state in
-// the chunk-mode host tier. Quota pinning and per-tenant residency
-// accounting stay at adapter granularity, in nominal adapter bytes;
-// capacity accounting is the deduplicated sum of resident chunk bytes.
+// the host tier: cold, fetching or resident. It lives for the store's
+// lifetime once seen, so its chunk list is built once. Quota pinning
+// and per-tenant residency accounting stay at adapter granularity, in
+// nominal adapter bytes; capacity accounting is the deduplicated sum
+// of resident chunk bytes.
 type chunkAdapter struct {
-	key    uint64 // whole-blob digest, or the synthetic family-prefix key
-	tenant string
-	family string
-	bytes  int64 // nominal bytes (quota/pin accounting)
-	chunks []*chunk
+	// The fields the LRU walks read (pin rotation, eviction) come
+	// first so they share a cache line.
+	prev, next *chunkAdapter // intrusive LRU list, resident entries only
+	tenant     string
+	pinned     bool
+	resident   bool
+	fetching   bool
+	demand     bool
+	bytes      int64 // nominal bytes (quota/pin accounting)
 
-	resident bool
-	fetching bool
-	demand   bool
-	pinned   bool
+	key    uint64 // whole-blob digest, or the synthetic family-prefix key
+	family string
+	chunks []*chunk
 
 	missing     int           // chunks not yet resident (while fetching)
 	done        time.Duration // completion estimate / time (while fetching)
 	lastLand    time.Duration // latest awaited-chunk landing seen
 	requested   time.Duration // fetch request time (cost model)
 	queuedBytes int64         // bytes this fetch put on the links
-
-	prev, next *chunkAdapter // intrusive LRU list, resident entries only
 }
 
-// chunkState is the store's chunk-mode machinery.
-type chunkState struct {
-	chunks   map[uint64]*chunk
-	adapters map[uint64]*chunkAdapter
-	lists    map[uint64][]*chunk // memoized chunk list per blob digest
-	root     chunkAdapter        // LRU sentinel: root.next = LRU, root.prev = MRU
-	used     int64               // Σ resident chunk bytes (deduplicated)
-	links    []*link
-	inflight []*chunkAdapter // fetching adapters
-	seq      int64           // transfer enqueue sequence
-	cost     costAccum       // online fetch-cost fit (costmodel.go)
-}
+// chunkEvictWindow bounds how many LRU-end eviction candidates a
+// chunked store's marginal-bytes victim ranking considers per
+// eviction: within the window the victim freeing the most actual
+// (unique) bytes goes first, so eviction pressure lands on private
+// tails before it touches warm shared prefixes whose eviction would
+// free nothing. A whole-blob store's window is 1: strict LRU.
+const chunkEvictWindow = 4
 
-// evictWindow bounds how many LRU-end eviction candidates the
-// marginal-bytes victim ranking considers per eviction: within the
-// window the victim freeing the most actual (unique) bytes goes first,
-// so eviction pressure lands on private tails before it touches warm
-// shared prefixes whose eviction would free nothing.
-const evictWindow = 4
-
-func newChunkState(replicas int) *chunkState {
-	ch := &chunkState{
-		chunks:   make(map[uint64]*chunk),
-		adapters: make(map[uint64]*chunkAdapter),
-		lists:    make(map[uint64][]*chunk),
-	}
-	ch.root.prev = &ch.root
-	ch.root.next = &ch.root
-	for i := 0; i < replicas; i++ {
-		ch.links = append(ch.links, newLink(i))
-	}
-	return ch
-}
-
-// chunkListOf materializes (and memoizes) an entry's chunk objects.
-func (s *Store) chunkListOf(ent *Entry) []*chunk {
-	ch := s.ch
-	if list, ok := ch.lists[ent.Digest]; ok {
-		return list
+// adapterOf returns a catalogued blob's host-tier state, creating it
+// cold (with its chunk objects) on first sight. Chunk objects stay in
+// the index for their lifetime even at zero refs: chunk lists hold
+// pointers into them, so deleting one would let a re-fetch mint a
+// second object for the same digest and double-count residency. Both
+// indexes are bounded by the catalog's blob and chunk universe.
+func (s *Store) adapterOf(ent *Entry) *chunkAdapter {
+	if ca := s.adapters[ent.Digest]; ca != nil {
+		return ca
 	}
 	spans := chunkSpans(ent, s.cfg.ChunkSize)
 	list := make([]*chunk, len(spans))
 	for i, sp := range spans {
-		c, ok := ch.chunks[sp.Digest]
+		c, ok := s.chunks[sp.Digest]
 		if !ok {
 			c = &chunk{digest: sp.Digest, bytes: sp.Bytes}
-			ch.chunks[sp.Digest] = c
+			s.chunks[sp.Digest] = c
 		}
 		list[i] = c
 	}
-	ch.lists[ent.Digest] = list
-	return list
+	ca := &chunkAdapter{key: ent.Digest, tenant: ent.Tenant, family: ent.Family, bytes: ent.Adapter.Bytes(), chunks: list}
+	s.adapters[ent.Digest] = ca
+	return ca
 }
 
 // allChunksResident reports whether every chunk of the list is
@@ -126,61 +107,71 @@ func allChunksResident(list []*chunk) bool {
 	return true
 }
 
-// touchChunkAdapter marks a resident chunk adapter most recently used
-// and rotates its tenant's quota pins onto it — the chunk-mode resolve
-// hot path.
+// touch marks a resident adapter most recently used and rotates its
+// tenant's quota pins onto it — the resolve hot path.
 //
 //valora:hotpath
-func (s *Store) touchChunkAdapter(ca *chunkAdapter) {
-	ch := s.ch
-	if ch.root.prev != ca {
+func (s *Store) touch(ca *chunkAdapter) {
+	if s.root.prev != ca {
 		ca.prev.next = ca.next
 		ca.next.prev = ca.prev
-		ca.prev = ch.root.prev
-		ca.next = &ch.root
-		ca.prev.next = ca
-		ch.root.prev = ca
+		s.pushMRU(ca)
 	}
-	s.promoteChunk(ca)
+	s.promote(ca)
 }
 
-// ensureChunked is the chunk-mode demand/prefetch path (Ensure and
-// Prefetch both land here; demand selects the link class and the
-// hit/miss counters). queued is the bytes this call put on the links.
-func (s *Store) ensureChunked(ent *Entry, now time.Duration, demand bool) (st Status, eta time.Duration, queued int64) {
-	ch := s.ch
-	if ca := ch.adapters[ent.Digest]; ca != nil {
-		if ca.resident {
-			if demand {
-				s.stats.HostHits++
-			}
-			s.touchChunkAdapter(ca)
-			return StatusHit, 0, 0
+// pushMRU links ca at the most-recently-used end of the LRU list.
+//
+//valora:hotpath
+func (s *Store) pushMRU(ca *chunkAdapter) {
+	ca.prev = s.root.prev
+	ca.next = &s.root
+	ca.prev.next = ca
+	s.root.prev = ca
+}
+
+// ensure is the demand/prefetch path (Demand and Prefetch both land
+// here; demand selects the link class and the hit/miss counters).
+// queued is the bytes this call put on the links.
+func (s *Store) ensure(ent *Entry, now time.Duration, demand bool) (st Status, eta time.Duration, queued int64) {
+	ca := s.adapterOf(ent)
+	if ca.resident {
+		if demand {
+			s.stats.HostHits++
 		}
+		s.touch(ca)
+		return StatusHit, 0, 0
+	}
+	if ca.fetching {
 		if demand && !ca.demand {
 			// A demand caught up with its speculative prefetch: its
 			// not-yet-started chunk transfers upgrade to demand class
 			// and jump the prefetch backlog within the tenant's queue.
-			s.promoteChunkedInflight(ca, now)
+			s.promoteInflight(ca, now)
 		}
 		return StatusFetching, ca.done, 0
 	}
-	list := s.chunkListOf(ent)
-	if allChunksResident(list) {
+	// Content-identical adapters share the state; the one demanded now
+	// owns it while it is fetching or resident.
+	ca.tenant, ca.family = ent.Tenant, ent.Family
+	if allChunksResident(ca.chunks) {
 		// Every chunk is already host-resident via family siblings (or
 		// the family warm set): the adapter materializes as resident
 		// without touching the link at all — the dedup host hit.
-		ca := s.materializeResident(ent, list)
+		s.materialize(ca)
+		s.pinIfFree(ca)
 		if demand {
 			s.stats.HostHits++
 			s.stats.DedupHits++
 		}
 		s.stats.DedupedBytes += ca.bytes
-		s.touchChunkAdapter(ca)
+		s.touch(ca)
 		return StatusHit, 0, 0
 	}
-	ca, ok := s.startChunkedFetch(ent.Digest, ent.Tenant, ent.Family, ent.Adapter.Bytes(), list, now, demand)
-	if !ok {
+	if !s.startFetch(ca, now, demand) {
+		// Denied demands retry every scheduling round; counting each
+		// retry as a fresh miss would swamp the hit rate, so denials
+		// have their own counter and misses count fetch starts only.
 		if demand {
 			s.stats.FetchDenied++
 		}
@@ -198,52 +189,49 @@ func (s *Store) ensureChunked(ent *Entry, now time.Duration, demand bool) (st St
 	return StatusStarted, ca.done, ca.queuedBytes
 }
 
-// materializeResident creates a resident chunk-adapter entry over
-// already-resident chunks (taking its refs) and links it MRU.
-func (s *Store) materializeResident(ent *Entry, list []*chunk) *chunkAdapter {
-	ch := s.ch
-	ca := &chunkAdapter{key: ent.Digest, tenant: ent.Tenant, family: ent.Family,
-		bytes: ent.Adapter.Bytes(), chunks: list, resident: true}
-	for _, c := range list {
+// materialize makes a cold entry resident over its already-resident
+// chunks (taking its refs) and links it MRU.
+func (s *Store) materialize(ca *chunkAdapter) {
+	ca.resident = true
+	for _, c := range ca.chunks {
 		c.refs++
 	}
-	ch.adapters[ent.Digest] = ca
-	ca.prev = ch.root.prev
-	ca.next = &ch.root
-	ca.prev.next = ca
-	ch.root.prev = ca
+	s.pushMRU(ca)
 	s.tenantResident[ca.tenant] += ca.bytes
-	s.pinIfFreeChunk(ca)
-	return ca
 }
 
-// startChunkedFetch puts an adapter fetch in flight: refs are taken on
-// every chunk up front (a mid-fetch eviction can therefore never free
-// a chunk the fetch counts on), transfers are enqueued for exactly the
-// chunks that are neither resident nor already in flight, each on the
-// replica link with the least pending bytes, and the adapter completes
-// one RemoteLatency after its last awaited chunk lands (the per-fetch
-// round trip is charged once per adapter, not once per chunk).
-func (s *Store) startChunkedFetch(key uint64, tenant, family string, nominal int64, list []*chunk, now time.Duration, demand bool) (*chunkAdapter, bool) {
-	ch := s.ch
-	if len(ch.inflight) >= s.cfg.MaxInflight {
-		return nil, false
+// startFetch puts an adapter fetch in flight. It denies hopeless
+// transfers up front — missing bytes that cannot fit even after
+// evicting every unpinned resident — and bounds the outstanding
+// queue, but evicts nothing: capacity is claimed at landing. Refs are
+// taken on every chunk up front (a mid-fetch eviction can therefore
+// never free a chunk the fetch counts on), transfers are enqueued for
+// exactly the chunks that are neither resident nor already in flight,
+// each on the replica link with the least pending bytes, and the
+// adapter completes fetchLatency after its last awaited chunk lands.
+func (s *Store) startFetch(ca *chunkAdapter, now time.Duration, demand bool) bool {
+	if len(s.inflight) >= s.cfg.MaxInflight {
+		return false
 	}
 	var need int64
-	for _, c := range list {
+	for _, c := range ca.chunks {
 		if !c.resident {
 			need += c.bytes
 		}
 	}
 	if need+s.pinnedB > s.cfg.HostCapacity {
-		// Hopeless: even evicting every unpinned resident chunk cannot
-		// host the missing bytes alongside the pinned set.
-		return nil, false
+		return false
 	}
-	ca := &chunkAdapter{key: key, tenant: tenant, family: family, bytes: nominal,
-		chunks: list, fetching: true, demand: demand, requested: now, lastLand: now}
+	ca.fetching, ca.demand, ca.requested, ca.lastLand = true, demand, now, now
+	ca.missing, ca.queuedBytes = 0, 0
+	// A whole-blob store sends every transfer as one flow in one class,
+	// so its fair link reduces to FIFO by enqueue order.
+	flow, class := ca.tenant, demand
+	if s.oneFlow {
+		flow, class = "", true
+	}
 	enqueued, upgraded := false, false
-	for _, c := range list {
+	for _, c := range ca.chunks {
 		c.refs++
 		if c.resident {
 			continue
@@ -253,43 +241,41 @@ func (s *Store) startChunkedFetch(key uint64, tenant, family string, nominal int
 		if c.fetching {
 			// Riding a sibling's in-flight transfer; a demand waiting on
 			// a prefetch-class transfer upgrades its class.
-			if demand && c.tr != nil && !c.tr.demand && c.tr.start > now {
+			if class && !c.tr.demand && c.tr.start > now {
 				c.tr.demand = true
 				upgraded = true
 			}
 			continue
 		}
 		c.fetching = true
-		ch.seq++
-		tr := &transfer{ch: c, tenant: tenant, demand: demand, seq: ch.seq}
-		c.tr = tr
-		s.leastPendingLink().enqueue(tr, now, &s.cfg)
+		s.seq++
+		c.tr = &transfer{ch: c, tenant: flow, demand: class, seq: s.seq}
+		s.leastPendingLink().enqueue(c.tr, now)
 		enqueued = true
 		ca.queuedBytes += c.bytes
 		s.stats.ChunkFetches++
 		s.stats.ChunkFetchBytes += c.bytes
 	}
-	ch.adapters[key] = ca
-	ch.inflight = append(ch.inflight, ca)
+	s.inflight = append(s.inflight, ca)
 	if upgraded {
-		for _, l := range ch.links {
-			l.reschedule(now, &s.cfg)
+		for _, l := range s.links {
+			l.reschedule(now)
 		}
 	}
 	if enqueued || upgraded {
-		s.refreshChunkDeadlines()
+		s.refreshDeadlines()
 	} else {
 		s.refreshAdapterDone(ca)
 	}
-	return ca, true
+	return true
 }
 
 // leastPendingLink picks the replica link with the least pending
 // bytes (lowest id on ties) — the deterministic load-balancing rule
 // that spreads one adapter's chunks across replicas.
 func (s *Store) leastPendingLink() *link {
-	best := s.ch.links[0]
-	for _, l := range s.ch.links[1:] {
+	best := s.links[0]
+	for _, l := range s.links[1:] {
 		if l.pending < best.pending {
 			best = l
 		}
@@ -297,36 +283,39 @@ func (s *Store) leastPendingLink() *link {
 	return best
 }
 
-// promoteChunkedInflight upgrades an in-flight prefetch to demand
-// class: its not-yet-started transfers re-rank within their tenant's
-// fair queue (demand before prefetch) on every affected link.
-func (s *Store) promoteChunkedInflight(ca *chunkAdapter, now time.Duration) {
+// promoteInflight upgrades an in-flight prefetch to demand class: its
+// not-yet-started transfers re-rank within their tenant's fair queue
+// (demand before prefetch) on every affected link. Whole-blob
+// transfers are all one class already, so only the fetch's own class
+// changes.
+func (s *Store) promoteInflight(ca *chunkAdapter, now time.Duration) {
 	ca.demand = true
 	changed := false
 	for _, c := range ca.chunks {
-		if c.fetching && c.tr != nil && !c.tr.demand && c.tr.start > now {
+		if c.fetching && !c.tr.demand && c.tr.start > now {
 			c.tr.demand = true
 			changed = true
 		}
 	}
 	if changed {
-		for _, l := range s.ch.links {
-			l.reschedule(now, &s.cfg)
+		for _, l := range s.links {
+			l.reschedule(now)
 		}
-		s.refreshChunkDeadlines()
+		s.refreshDeadlines()
 	}
 }
 
-// refreshChunkDeadlines recomputes every in-flight adapter's
-// completion estimate after a link reschedule.
-func (s *Store) refreshChunkDeadlines() {
-	for _, ca := range s.ch.inflight {
+// refreshDeadlines recomputes every in-flight adapter's completion
+// estimate and the store's next due event after a link reschedule.
+func (s *Store) refreshDeadlines() {
+	for _, ca := range s.inflight {
 		s.refreshAdapterDone(ca)
 	}
+	_, _, s.due = s.nextEvent()
 }
 
-// refreshAdapterDone derives one fetching adapter's completion: one
-// RemoteLatency past the latest of its awaited chunks' schedules (or
+// refreshAdapterDone derives one fetching adapter's completion:
+// fetchLatency past the latest of its awaited chunks' schedules (or
 // past the last landing already seen, once everything is resident).
 func (s *Store) refreshAdapterDone(ca *chunkAdapter) {
 	m := ca.lastLand
@@ -335,120 +324,75 @@ func (s *Store) refreshAdapterDone(ca *chunkAdapter) {
 			m = c.tr.done
 		}
 	}
-	ca.done = m + s.cfg.RemoteLatency
-}
-
-// advanceChunked completes every chunk landing and adapter fetch due
-// at or before now, in global event order: landings claim capacity
-// (evicting for room), completions flip adapters resident and take
-// quota pins. Completions sort before landings at equal instants so a
-// just-finished adapter's pins are visible to the landing's eviction
-// pass.
-func (s *Store) advanceChunked(now time.Duration) {
-	ch := s.ch
-	for {
-		// Earliest adapter completion among fully-landed fetches.
-		var ca *chunkAdapter
-		for _, f := range ch.inflight {
-			if f.missing == 0 && f.done <= now {
-				if ca == nil || f.done < ca.done || (f.done == ca.done && f.key < ca.key) {
-					ca = f
-				}
-			}
-		}
-		// Earliest chunk landing across replica links.
-		var l *link
-		var tr *transfer
-		for _, cand := range ch.links {
-			h, ok := cand.head()
-			if !ok || h.done > now {
-				continue
-			}
-			if tr == nil || h.done < tr.done || (h.done == tr.done && cand.id < l.id) {
-				l, tr = cand, h
-			}
-		}
-		switch {
-		case ca != nil && (tr == nil || ca.done <= tr.done):
-			s.completeChunkedFetch(ca)
-		case tr != nil:
-			s.landChunk(l.pop(&s.cfg))
-		default:
-			return
-		}
-	}
+	ca.done = m + s.fetchLatency
 }
 
 // landChunk claims capacity for a completed chunk transfer, evicting
-// for room; when not even a full eviction pass can make room (the
-// pinned set grew past the admission check), the transfer is
+// for room. When not even that can make room the transfer is
 // discarded and every fetch awaiting the chunk is aborted — a live
-// demand will retry.
+// demand will retry. If the pinned set alone leaves no room, the
+// eviction pass is skipped: it could only destroy the warm set.
 func (s *Store) landChunk(tr *transfer) {
 	c := tr.ch
 	c.tr = nil
 	c.fetching = false
-	if s.ch.used+c.bytes > s.cfg.HostCapacity {
-		s.evictChunksFor(c.bytes)
+	// Nothing appends to c.waiters while the waiters are served below,
+	// so the backing array is reused by the chunk's next fetch.
+	waiters := c.waiters
+	c.waiters = c.waiters[:0]
+	if c.bytes+s.pinnedB <= s.cfg.HostCapacity {
+		s.evictFor(c.bytes)
 	}
-	if s.ch.used+c.bytes > s.cfg.HostCapacity {
+	if s.used+c.bytes > s.cfg.HostCapacity {
 		s.stats.Discarded++
-		waiters := c.waiters
-		c.waiters = nil
 		for _, w := range waiters {
-			s.abortChunkedFetch(w)
+			s.abortFetch(w)
 		}
 		return
 	}
 	c.resident = true
-	s.ch.used += c.bytes
-	waiters := c.waiters
-	c.waiters = nil
+	s.used += c.bytes
 	for _, w := range waiters {
 		w.missing--
 		w.lastLand = tr.done
 		if w.missing == 0 {
-			w.done = tr.done + s.cfg.RemoteLatency
+			w.done = tr.done + s.fetchLatency
 		}
 	}
 }
 
-// completeChunkedFetch flips a fully-landed fetch resident: LRU entry,
-// per-tenant residency charge, quota pin from unspent guarantee, and a
-// fetch-cost observation for the measured cost model.
-func (s *Store) completeChunkedFetch(ca *chunkAdapter) {
-	ch := s.ch
-	s.removeInflightChunk(ca)
+// completeFetch flips a fully-landed fetch resident: LRU entry,
+// per-tenant residency charge, quota pin from unspent guarantee, and
+// a fetch-cost observation for the measured cost model. A completing
+// fetch takes a pin only from unspent guaranteed bytes; stealing
+// happens on demand hits (promote), so one cold fetch cannot displace
+// a proven-hot pin.
+func (s *Store) completeFetch(ca *chunkAdapter) {
+	s.removeInflight(ca)
 	ca.fetching = false
 	ca.resident = true
-	ca.prev = ch.root.prev
-	ca.next = &ch.root
-	ca.prev.next = ca
-	ch.root.prev = ca
+	s.pushMRU(ca)
 	s.tenantResident[ca.tenant] += ca.bytes
-	s.pinIfFreeChunk(ca)
+	s.pinIfFree(ca)
 	s.recordFetchCost(ca)
 }
 
-// abortChunkedFetch unwinds a fetch whose awaited chunk was discarded:
-// refs are dropped (freeing chunks nothing else references), the
-// in-flight entry disappears, and any remaining queued transfers this
-// fetch alone was waiting on are cancelled.
-func (s *Store) abortChunkedFetch(ca *chunkAdapter) {
+// abortFetch unwinds a fetch whose awaited chunk was discarded: refs
+// are dropped (freeing chunks nothing else references), the in-flight
+// entry disappears, and any remaining queued transfers this fetch
+// alone was waiting on are cancelled.
+func (s *Store) abortFetch(ca *chunkAdapter) {
 	if !ca.fetching {
 		return
 	}
 	ca.fetching = false
-	s.removeInflightChunk(ca)
-	delete(s.ch.adapters, ca.key)
+	s.removeInflight(ca)
 	for _, c := range ca.chunks {
 		c.refs--
-		if c.waiters != nil {
-			for i, w := range c.waiters {
-				if w == ca {
-					c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-					break
-				}
+		for i, w := range c.waiters {
+			if w == ca {
+				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+				break
 			}
 		}
 		if c.fetching && len(c.waiters) == 0 {
@@ -462,27 +406,30 @@ func (s *Store) abortChunkedFetch(ca *chunkAdapter) {
 // transfer may already be in service; it is cancelled regardless —
 // the link model does not bill partial transfers.
 func (s *Store) cancelTransfer(c *chunk) {
-	for _, l := range s.ch.links {
+	for _, l := range s.links {
 		for i, tr := range l.queue {
 			if tr.ch == c {
-				copy(l.queue[i:], l.queue[i+1:])
-				l.queue = l.queue[:len(l.queue)-1]
+				l.queue = append(l.queue[:i], l.queue[i+1:]...)
 				l.pending -= c.bytes
-				l.reschedule(s.advanced, &s.cfg)
+				l.reschedule(s.advanced)
 				c.fetching = false
 				c.tr = nil
-				s.refreshChunkDeadlines()
+				s.refreshDeadlines()
 				return
 			}
 		}
 	}
 }
 
-// Chunk objects stay in the index for their lifetime even at zero
-// refs: memoized chunk lists (chunkListOf) hold pointers into them,
-// so deleting one would let a re-fetch mint a second object for the
-// same digest and double-count residency. The index is bounded by
-// the catalog's chunk universe.
+// removeInflight drops ca from the in-flight fetch list.
+func (s *Store) removeInflight(ca *chunkAdapter) {
+	for i, f := range s.inflight {
+		if f == ca {
+			s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
+			return
+		}
+	}
+}
 
 // freeableBytes reports how many bytes evicting ca would actually
 // free: the chunks only it references. Shared prefix chunks of a
@@ -497,10 +444,10 @@ func freeableBytes(ca *chunkAdapter) int64 {
 	return b
 }
 
-// protectedChunk mirrors the whole-blob protected rule at adapter
-// granularity: inside the tenant's guaranteed+burst envelope, evicted
-// only as a last resort.
-func (s *Store) protectedChunk(ca *chunkAdapter) bool {
+// protected reports whether an adapter sits inside its tenant's
+// guaranteed+burst residency envelope (evicted only as a last
+// resort).
+func (s *Store) protected(ca *chunkAdapter) bool {
 	q, ok := s.quotas[ca.tenant]
 	if !ok {
 		return false
@@ -508,20 +455,21 @@ func (s *Store) protectedChunk(ca *chunkAdapter) bool {
 	return s.tenantResident[ca.tenant] <= q.GuaranteedBytes+q.BurstBytes
 }
 
-// evictChunksFor frees resident adapters until need chunk bytes fit.
-// Victims walk the LRU as in whole-blob mode (unprotected pass first,
-// then any unpinned), but within a small LRU-end window the candidate
-// freeing the most actual bytes goes first — the marginal-cost
-// ranking: evicting a fully-shared sibling frees nothing and costs a
-// future dedup hit, so private tails go before warm shared prefixes.
-func (s *Store) evictChunksFor(need int64) {
-	ch := s.ch
-	for pass := 0; pass < 2 && ch.used+need > s.cfg.HostCapacity; pass++ {
-		for ch.used+need > s.cfg.HostCapacity {
-			var window [evictWindow]*chunkAdapter
+// evictFor frees resident, unpinned adapters until need chunk bytes
+// fit: a first LRU pass takes only unprotected adapters (tenants over
+// their burst envelope lose residency first), a second takes any
+// unpinned one. Pinned adapters are never evicted. Within the
+// evictWindow LRU-end candidates the one freeing the most actual bytes
+// goes first — the marginal-cost ranking: evicting a fully-shared
+// sibling frees nothing and costs a future dedup hit, so private
+// tails go before warm shared prefixes.
+func (s *Store) evictFor(need int64) {
+	for pass := 0; pass < 2 && s.used+need > s.cfg.HostCapacity; pass++ {
+		for s.used+need > s.cfg.HostCapacity {
+			var window [chunkEvictWindow]*chunkAdapter
 			n := 0
-			for ca := ch.root.next; ca != &ch.root && n < evictWindow; ca = ca.next {
-				if ca.pinned || (pass == 0 && s.protectedChunk(ca)) {
+			for ca := s.root.next; ca != &s.root && n < s.evictWindow; ca = ca.next {
+				if ca.pinned || (pass == 0 && s.protected(ca)) {
 					continue
 				}
 				window[n] = ca
@@ -537,27 +485,25 @@ func (s *Store) evictChunksFor(need int64) {
 					victim, best = window[i], f
 				}
 			}
-			s.evictChunkAdapter(victim)
+			s.evict(victim)
 		}
 	}
 }
 
-// evictChunkAdapter removes one resident adapter from the tier,
-// freeing every chunk its departure leaves unreferenced.
-func (s *Store) evictChunkAdapter(ca *chunkAdapter) {
-	ch := s.ch
+// evict removes one resident adapter from the tier, freeing every
+// chunk its departure leaves unreferenced.
+func (s *Store) evict(ca *chunkAdapter) {
 	ca.prev.next = ca.next
 	ca.next.prev = ca.prev
 	ca.prev, ca.next = nil, nil
 	ca.resident = false
-	delete(ch.adapters, ca.key)
 	s.tenantResident[ca.tenant] -= ca.bytes
 	var freed int64
 	for _, c := range ca.chunks {
 		c.refs--
 		if c.refs == 0 && c.resident {
 			c.resident = false
-			ch.used -= c.bytes
+			s.used -= c.bytes
 			freed += c.bytes
 			s.stats.ChunkEvictions++
 		}
@@ -566,19 +512,9 @@ func (s *Store) evictChunkAdapter(ca *chunkAdapter) {
 	s.stats.EvictedBytes += freed
 }
 
-// removeInflightChunk drops ca from the in-flight fetch list.
-func (s *Store) removeInflightChunk(ca *chunkAdapter) {
-	for i, f := range s.ch.inflight {
-		if f == ca {
-			s.ch.inflight = append(s.ch.inflight[:i], s.ch.inflight[i+1:]...)
-			return
-		}
-	}
-}
-
-// pinIfFreeChunk pins a resident adapter when its tenant has unspent
-// guaranteed quota (the chunk-mode twin of pinIfFree).
-func (s *Store) pinIfFreeChunk(ca *chunkAdapter) {
+// pinIfFree pins a resident adapter when its tenant has unspent
+// guaranteed quota.
+func (s *Store) pinIfFree(ca *chunkAdapter) {
 	if ca.pinned {
 		return
 	}
@@ -593,11 +529,15 @@ func (s *Store) pinIfFreeChunk(ca *chunkAdapter) {
 	}
 }
 
-// promoteChunk rotates the tenant's quota pins onto a just-touched
-// adapter (the chunk-mode twin of promote).
+// promote rotates the tenant's quota pins onto a just-touched adapter:
+// if the tenant has guaranteed bytes left the adapter is pinned
+// outright; otherwise the tenant's least-recently-used pins are
+// released until it fits. Recently-demanded adapters therefore hold
+// the guaranteed residency — the pin set tracks the hot set as
+// popularity drifts.
 //
 //valora:hotpath
-func (s *Store) promoteChunk(ca *chunkAdapter) {
+func (s *Store) promote(ca *chunkAdapter) {
 	if ca.pinned {
 		return
 	}
@@ -606,7 +546,7 @@ func (s *Store) promoteChunk(ca *chunkAdapter) {
 		return
 	}
 	for s.tenantPinned[ca.tenant]+ca.bytes > q.GuaranteedBytes {
-		v := s.lruPinnedChunk(ca.tenant, ca)
+		v := s.lruPinned(ca.tenant, ca)
 		if v == nil {
 			return
 		}
@@ -619,12 +559,12 @@ func (s *Store) promoteChunk(ca *chunkAdapter) {
 	s.pinnedB += ca.bytes
 }
 
-// lruPinnedChunk finds the tenant's least-recently-used pinned entry
+// lruPinned finds the tenant's least-recently-used pinned adapter
 // other than skip.
 //
 //valora:hotpath
-func (s *Store) lruPinnedChunk(tenant string, skip *chunkAdapter) *chunkAdapter {
-	for ca := s.ch.root.next; ca != &s.ch.root; ca = ca.next {
+func (s *Store) lruPinned(tenant string, skip *chunkAdapter) *chunkAdapter {
+	for ca := s.root.next; ca != &s.root; ca = ca.next {
 		if ca != skip && ca.pinned && ca.tenant == tenant {
 			return ca
 		}
@@ -639,222 +579,4 @@ func familyPrefixKey(family string) uint64 {
 	h.Write([]byte("famprefix:"))
 	h.Write([]byte(family))
 	return h.Sum64()
-}
-
-// PrefetchFamily speculatively warms a family's shared chunk prefix —
-// the tree-structured warm set: the prefix materializes as its own
-// refcounted, evictable resident object, so every member of a popular
-// family subsequently fetches only its private tail. Resident
-// prefixes are touched; in-flight ones left alone. started reports
-// whether a new fetch went on the links.
-func (s *Store) PrefetchFamily(family string, now time.Duration) (eta time.Duration, started bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ch == nil {
-		return 0, false
-	}
-	s.advance(now)
-	rep, ok := s.cat.FamilyRep(family)
-	if !ok {
-		return 0, false
-	}
-	sharedN := sharedChunkCount(rep, s.cfg.ChunkSize)
-	if sharedN == 0 {
-		return 0, false
-	}
-	key := familyPrefixKey(family)
-	if ca := s.ch.adapters[key]; ca != nil {
-		if ca.resident {
-			s.touchChunkAdapter(ca)
-		}
-		return 0, false
-	}
-	list := s.chunkListOf(rep)[:sharedN]
-	var nominal int64
-	for _, c := range list {
-		nominal += c.bytes
-	}
-	if allChunksResident(list) {
-		ca := &chunkAdapter{key: key, tenant: rep.Tenant, family: family, bytes: nominal, chunks: list, resident: true}
-		for _, c := range list {
-			c.refs++
-		}
-		s.ch.adapters[key] = ca
-		ca.prev = s.ch.root.prev
-		ca.next = &s.ch.root
-		ca.prev.next = ca
-		s.ch.root.prev = ca
-		s.tenantResident[ca.tenant] += ca.bytes
-		return 0, false
-	}
-	ca, ok := s.startChunkedFetch(key, rep.Tenant, family, nominal, list, now, false)
-	if !ok {
-		return 0, false
-	}
-	s.stats.PrefetchFetches++
-	s.stats.PrefetchBytes += ca.queuedBytes
-	s.stats.DedupedBytes += ca.bytes - ca.queuedBytes
-	return ca.done, true
-}
-
-// FamilyOf reports the catalogued family of an adapter ("" when
-// standalone or uncatalogued).
-func (s *Store) FamilyOf(id int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ent, ok := s.cat.Resolve(id)
-	if !ok {
-		return ""
-	}
-	return ent.Family
-}
-
-// MissingBytes reports the marginal fetch cost of an adapter in
-// bytes: what a demand at now would actually have to transfer. Zero
-// for host-resident adapters; in chunk mode only the chunks that are
-// neither resident nor in flight count — the quantity prefetchers and
-// victim rankers should weigh, not the nominal adapter size.
-func (s *Store) MissingBytes(id int, now time.Duration) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advance(now)
-	ent, ok := s.cat.Resolve(id)
-	if !ok {
-		return 0
-	}
-	if s.ch == nil {
-		if e := s.entries[ent.Digest]; e != nil {
-			return 0 // resident or already in flight
-		}
-		return ent.Adapter.Bytes()
-	}
-	if ca := s.ch.adapters[ent.Digest]; ca != nil {
-		return 0 // resident or already in flight
-	}
-	var need int64
-	for _, c := range s.chunkListOf(ent) {
-		if !c.resident && !c.fetching {
-			need += c.bytes
-		}
-	}
-	return need
-}
-
-// checkChunkInvariants verifies the chunk-mode bookkeeping; see
-// CheckInvariants.
-func (s *Store) checkChunkInvariants() error {
-	ch := s.ch
-	refs := make(map[uint64]int)
-	residentCount := 0
-	pinned := make(map[string]int64)
-	resident := make(map[string]int64)
-	for ca := ch.root.next; ca != &ch.root; ca = ca.next {
-		if ch.adapters[ca.key] != ca {
-			return fmt.Errorf("registry: chunk-mode list entry %x not indexed", ca.key)
-		}
-		if !ca.resident || ca.fetching {
-			return fmt.Errorf("registry: non-resident entry %x on the chunk LRU list", ca.key)
-		}
-		if ca.next.prev != ca || ca.prev.next != ca {
-			return fmt.Errorf("registry: chunk LRU links broken at %x", ca.key)
-		}
-		residentCount++
-		resident[ca.tenant] += ca.bytes
-		if ca.pinned {
-			pinned[ca.tenant] += ca.bytes
-		}
-		for _, c := range ca.chunks {
-			refs[c.digest]++
-			if !c.resident {
-				return fmt.Errorf("registry: resident adapter %x references evicted chunk %x", ca.key, c.digest)
-			}
-		}
-	}
-	if len(ch.inflight) > s.cfg.MaxInflight {
-		return fmt.Errorf("registry: %d adapter fetches in flight, bound is %d", len(ch.inflight), s.cfg.MaxInflight)
-	}
-	for _, ca := range ch.inflight {
-		if ca.resident || !ca.fetching {
-			return fmt.Errorf("registry: in-flight entry %x not in fetching state", ca.key)
-		}
-		if ch.adapters[ca.key] != ca {
-			return fmt.Errorf("registry: in-flight entry %x not indexed", ca.key)
-		}
-		if ca.pinned {
-			return fmt.Errorf("registry: in-flight entry %x is pinned", ca.key)
-		}
-		missing := 0
-		for _, c := range ca.chunks {
-			refs[c.digest]++
-			if !c.resident {
-				missing++
-				if !c.fetching {
-					return fmt.Errorf("registry: fetch %x awaits chunk %x that is neither resident nor fetching", ca.key, c.digest)
-				}
-			}
-		}
-		if missing != ca.missing {
-			return fmt.Errorf("registry: fetch %x counts %d missing chunks, list says %d", ca.key, ca.missing, missing)
-		}
-	}
-	var usedBytes int64
-	for digest, c := range ch.chunks {
-		if c.digest != digest {
-			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating chunk the error names, never pass/fail
-			return fmt.Errorf("registry: chunk %x indexed under %x", c.digest, digest)
-		}
-		if c.refs < 0 {
-			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating chunk the error names, never pass/fail
-			return fmt.Errorf("registry: chunk %x refcount %d < 0", c.digest, c.refs)
-		}
-		if c.refs < refs[digest] {
-			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating chunk the error names, never pass/fail
-			return fmt.Errorf("registry: chunk %x refcount %d below the %d resident/fetching references", c.digest, c.refs, refs[digest])
-		}
-		if c.resident {
-			usedBytes += c.bytes
-		}
-	}
-	if usedBytes != ch.used {
-		return fmt.Errorf("registry: chunk used=%d but resident chunk bytes sum to %d", ch.used, usedBytes)
-	}
-	if ch.used > s.cfg.HostCapacity {
-		return fmt.Errorf("registry: chunk tier over-committed: used=%d > capacity=%d", ch.used, s.cfg.HostCapacity)
-	}
-	var pinnedTotal int64
-	for _, b := range pinned {
-		pinnedTotal += b
-	}
-	if pinnedTotal != s.pinnedB {
-		return fmt.Errorf("registry: pinned counter %d, chunk list says %d", s.pinnedB, pinnedTotal)
-	}
-	for t, b := range pinned {
-		if s.tenantPinned[t] != b {
-			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating tenant the error names, never pass/fail
-			return fmt.Errorf("registry: tenant %q pinned counter %d, chunk list says %d", t, s.tenantPinned[t], b)
-		}
-		if q, ok := s.quotas[t]; ok && b > q.GuaranteedBytes {
-			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating tenant the error names, never pass/fail
-			return fmt.Errorf("registry: tenant %q pinned %d bytes over guaranteed %d", t, b, q.GuaranteedBytes)
-		}
-	}
-	for t, c := range s.tenantResident {
-		if c != resident[t] {
-			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating tenant the error names, never pass/fail
-			return fmt.Errorf("registry: tenant %q resident counter %d, chunk list says %d", t, c, resident[t])
-		}
-	}
-	for _, l := range ch.links {
-		last := time.Duration(-1)
-		for i, tr := range l.queue {
-			if i > 0 && tr.done < last {
-				return fmt.Errorf("registry: link %d schedule out of completion order", l.id)
-			}
-			last = tr.done
-			if !tr.ch.fetching || tr.ch.tr != tr {
-				return fmt.Errorf("registry: link %d holds a transfer for chunk %x not marked fetching", l.id, tr.ch.digest)
-			}
-		}
-	}
-	return nil
 }

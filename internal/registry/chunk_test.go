@@ -310,8 +310,8 @@ func TestChunkStoreInvariantsProperty(t *testing.T) {
 }
 
 // TestWholeBlobPathUntouchedByChunkFields: a store with ChunkSize
-// zero ignores families, replicas and link weights entirely — the
-// legacy whole-blob behavior, byte-for-byte.
+// zero is the one-chunk case — families, replicas and link weights
+// have no effect, and the chunk counters stay zero.
 func TestWholeBlobPathUntouchedByChunkFields(t *testing.T) {
 	model := lmm.QwenVL7B()
 	ab := model.AdapterBytes(model.DefaultRank)

@@ -2,8 +2,8 @@ package registry
 
 import "time"
 
-// The measured fetch-cost model: every completed chunk-mode adapter
-// fetch contributes one (bytes transferred, observed duration) sample
+// The measured fetch-cost model: every completed adapter fetch
+// contributes one (bytes transferred, observed duration) sample
 // to an online least-squares fit of duration ≈ base + perByte·bytes.
 // The fitted model prices marginal bytes — what a fetch would
 // actually cost given current residency — which is what the
@@ -14,13 +14,13 @@ import "time"
 // FetchSample is one completed adapter fetch as observed by the
 // store: the bytes that actually crossed the links (deduped chunks
 // count once — possibly zero when the fetch rode entirely on sibling
-// transfers), the chunk transfers enqueued, and the request/complete
+// transfers), the adapter's chunk count, and the request/complete
 // virtual times.
 type FetchSample struct {
 	Tenant    string
 	Family    string
 	Bytes     int64 // bytes this fetch put on the links
-	Chunks    int   // chunk transfers this fetch enqueued
+	Chunks    int   // the adapter's chunk count, riding ones included
 	Demand    bool
 	Requested time.Duration
 	Done      time.Duration
@@ -63,16 +63,12 @@ func (a *costAccum) fit() (base, perByte float64, ok bool) {
 	return base, perByte, true
 }
 
-// fetchCostWarmup is how many samples the fitted model needs before
-// EstimateFetchCost trusts it over the configured link parameters.
-const fetchCostWarmup = 8
-
 // recordFetchCost folds one completed fetch into the online fit and
 // forwards the sample to the registered observer. Called with s.mu
 // held.
 func (s *Store) recordFetchCost(ca *chunkAdapter) {
 	dur := ca.done - ca.requested
-	s.ch.cost.add(ca.queuedBytes, dur)
+	s.cost.add(ca.queuedBytes, dur)
 	if s.fetchObs != nil {
 		s.fetchObs(FetchSample{
 			Tenant:    ca.tenant,
@@ -88,7 +84,7 @@ func (s *Store) recordFetchCost(ca *chunkAdapter) {
 
 // SetFetchObserver registers a callback invoked (under the store
 // lock — keep it cheap, e.g. appending to a trace recorder) for every
-// completed chunk-mode adapter fetch. nil disables.
+// completed adapter fetch. nil disables.
 func (s *Store) SetFetchObserver(fn func(FetchSample)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -101,28 +97,6 @@ func (s *Store) SetFetchObserver(fn func(FetchSample)) {
 func (s *Store) FetchCostModel() (base time.Duration, perByte float64, samples int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ch == nil {
-		return 0, 0, 0, false
-	}
-	b, p, ok := s.ch.cost.fit()
-	return time.Duration(b * float64(time.Second)), p, int(s.ch.cost.n), ok
-}
-
-// EstimateFetchCost prices a transfer of the given marginal bytes:
-// the measured model once warmed up (fetchCostWarmup samples),
-// otherwise the configured link parameters. Feed it MissingBytes for
-// a cost-ranked view of a cold adapter.
-func (s *Store) EstimateFetchCost(bytes int64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if bytes <= 0 {
-		return 0
-	}
-	if s.ch != nil && s.ch.cost.n >= fetchCostWarmup {
-		if base, perByte, ok := s.ch.cost.fit(); ok {
-			return time.Duration((base + perByte*float64(bytes)) * float64(time.Second))
-		}
-	}
-	return s.cfg.RemoteLatency +
-		time.Duration(float64(bytes)/s.cfg.RemoteBandwidth*float64(time.Second))
+	b, p, ok := s.cost.fit()
+	return time.Duration(b * float64(time.Second)), p, int(s.cost.n), ok
 }

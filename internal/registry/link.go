@@ -23,7 +23,8 @@ type transfer struct {
 // class within a tenant, FIFO within a class. One tenant's cold
 // prefetch sweep therefore cannot push another tenant's demand fetches
 // to the back of the queue — each tenant's backlog drains at its
-// weighted share of the link.
+// weighted share of the link. With a single flow in a single class
+// (a whole-blob store) the discipline is plain FIFO.
 type link struct {
 	id    int
 	queue []*transfer // schedule order; queue[0] may be in service
@@ -31,11 +32,13 @@ type link struct {
 	// share basis). Only indexed, never ranged: iteration happens over
 	// the queue slice, so the schedule is deterministic.
 	served  map[string]float64
-	pending int64 // bytes queued but not yet completed
-}
+	pending int64         // bytes queued but not yet completed
+	free    time.Duration // when the last completed transfer left the wire
 
-func newLink(id int) *link {
-	return &link{id: id, served: make(map[string]float64)}
+	bandwidth float64       // bytes/second
+	latency   time.Duration // charged on the wire with every transfer
+	weights   map[string]float64
+	tags      []flowTag // reschedule scratch, reused across calls
 }
 
 // weightOf resolves a tenant's fair-share weight (default 1).
@@ -53,35 +56,76 @@ func weightOf(weights map[string]float64, tenant string) float64 {
 // banked deficit, so a freshly-arriving sweep cannot monopolize the
 // wire until it "catches up" — which is exactly how it would starve
 // the other tenants' demand fetches.
-func (l *link) enqueue(t *transfer, now time.Duration, cfg *Config) {
+func (l *link) enqueue(t *transfer, now time.Duration) {
 	backlogged := false
-	minTag, haveTag := 0.0, false
 	for _, q := range l.queue {
 		if q.tenant == t.tenant {
 			backlogged = true
-		}
-		tag := l.served[q.tenant]
-		if !haveTag || tag < minTag {
-			minTag, haveTag = tag, true
+			break
 		}
 	}
-	if !backlogged && haveTag && l.served[t.tenant] < minTag {
-		l.served[t.tenant] = minTag
+	if !backlogged && len(l.queue) > 0 {
+		minTag := l.served[l.queue[0].tenant]
+		for _, q := range l.queue[1:] {
+			minTag = min(minTag, l.served[q.tenant])
+		}
+		if l.served[t.tenant] < minTag {
+			l.served[t.tenant] = minTag
+		}
 	}
 	l.queue = append(l.queue, t)
 	l.pending += t.ch.bytes
-	l.reschedule(now, cfg)
+	l.reschedule(now)
+}
+
+// flowTag is one tenant's weighted service during a reschedule:
+// lifetime served bytes plus what the schedule being derived has
+// assigned it so far. Both are already weight-normalized (bytes/weight
+// accumulated at pop and below), so tags compare directly.
+type flowTag struct {
+	tenant       string
+	served, virt float64
+}
+
+// tag finds (or starts) a tenant's entry in the reschedule scratch.
+func (l *link) tag(tenant string) *flowTag {
+	for i := range l.tags {
+		if l.tags[i].tenant == tenant {
+			return &l.tags[i]
+		}
+	}
+	l.tags = append(l.tags, flowTag{tenant: tenant, served: l.served[tenant]})
+	return &l.tags[len(l.tags)-1]
+}
+
+// before reports whether transfer a goes on the wire before b: per
+// tenant, demand first then seq; among tenants, the least weighted
+// service, tie-broken by tenant name. The order is total, so the
+// schedule is a pure function of the queue's contents.
+func (l *link) before(a, b *transfer) bool {
+	if a.tenant == b.tenant {
+		return transferClassLess(a, b)
+	}
+	aw, bw := l.service(a.tenant), l.service(b.tenant)
+	return aw < bw || (aw == bw && a.tenant < b.tenant)
+}
+
+// service reports a tenant's weighted service so far.
+func (l *link) service(tenant string) float64 {
+	t := l.tag(tenant)
+	return t.served + t.virt
 }
 
 // reschedule re-derives the fair-share schedule from now: the transfer
 // already on the wire (head with start <= now) keeps its slot, every
 // queued transfer behind it is re-ordered by weighted fair queuing and
-// its start/done recomputed back-to-back. Chunk transfer time is pure
-// wire time (bytes/bandwidth); the per-fetch RemoteLatency is charged
-// once per adapter fetch, at completion, not once per chunk.
-func (l *link) reschedule(now time.Duration, cfg *Config) {
+// its start/done recomputed back-to-back, never starting before the
+// wire frees. Transfer time is the link latency plus bytes/bandwidth:
+// a chunked store charges its per-fetch RemoteLatency once per adapter
+// at completion instead, so its links have zero latency.
+func (l *link) reschedule(now time.Duration) {
 	keep := 0
-	free := now
+	free := max(now, l.free)
 	if len(l.queue) > 0 && l.queue[0].scheduled && l.queue[0].start <= now {
 		keep = 1
 		free = l.queue[0].done
@@ -90,56 +134,31 @@ func (l *link) reschedule(now time.Duration, cfg *Config) {
 	if len(rest) == 0 {
 		return
 	}
-	// Virtual service baseline: lifetime served bytes per tenant,
-	// weighted; the in-service transfer is already charged at pop time
-	// via served, so charge it here explicitly while it occupies the
-	// wire to keep its tenant from double-dipping.
-	virt := make(map[string]float64, 4)
+	l.tags = l.tags[:0]
 	if keep == 1 {
+		// The in-service transfer is charged to served only at pop, so
+		// charge it here while it occupies the wire to keep its tenant
+		// from double-dipping.
 		h := l.queue[0]
-		virt[h.tenant] += float64(h.ch.bytes) / weightOf(cfg.LinkWeights, h.tenant)
+		l.tag(h.tenant).virt += float64(h.ch.bytes) / weightOf(l.weights, h.tenant)
 	}
-	scheduled := make([]*transfer, 0, len(rest))
-	remaining := append([]*transfer(nil), rest...)
-	for len(remaining) > 0 {
-		// Per tenant, the eligible candidate is its first transfer in
-		// (demand-first, then seq) order; among tenants, pick the least
-		// weighted lifetime+virtual service, tie-broken by tenant name
-		// then seq so the schedule is a pure function of the queue.
-		best := -1
-		for i, t := range remaining {
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := remaining[best]
-			if t.tenant == b.tenant {
-				if less := transferClassLess(t, b); less {
-					best = i
-				}
-				continue
-			}
-			// served and virt are already weight-normalized (bytes/weight
-			// accumulated at pop and below), so they compare directly.
-			tw := l.served[t.tenant] + virt[t.tenant]
-			bw := l.served[b.tenant] + virt[b.tenant]
-			switch {
-			case tw < bw:
-				best = i
-			case tw == bw && t.tenant < b.tenant:
+	// Selection sort under the fair-share order: position k gets the
+	// first transfer of the remaining schedule.
+	for k := range rest {
+		best := k
+		for i := k + 1; i < len(rest); i++ {
+			if l.before(rest[i], rest[best]) {
 				best = i
 			}
 		}
-		t := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
+		rest[k], rest[best] = rest[best], rest[k]
+		t := rest[k]
 		t.scheduled = true
 		t.start = free
-		t.done = free + time.Duration(float64(t.ch.bytes)/cfg.RemoteBandwidth*float64(time.Second))
+		t.done = free + l.latency + time.Duration(float64(t.ch.bytes)/l.bandwidth*float64(time.Second))
 		free = t.done
-		virt[t.tenant] += float64(t.ch.bytes) / weightOf(cfg.LinkWeights, t.tenant)
-		scheduled = append(scheduled, t)
+		l.tag(t.tenant).virt += float64(t.ch.bytes) / weightOf(l.weights, t.tenant)
 	}
-	copy(l.queue[keep:], scheduled)
 }
 
 // transferClassLess orders two same-tenant transfers: demand class
@@ -161,11 +180,12 @@ func (l *link) head() (*transfer, bool) {
 
 // pop completes the head transfer, charging its tenant's weighted
 // service.
-func (l *link) pop(cfg *Config) *transfer {
+func (l *link) pop() *transfer {
 	t := l.queue[0]
 	copy(l.queue, l.queue[1:])
 	l.queue = l.queue[:len(l.queue)-1]
 	l.pending -= t.ch.bytes
-	l.served[t.tenant] += float64(t.ch.bytes) / weightOf(cfg.LinkWeights, t.tenant)
+	l.free = t.done
+	l.served[t.tenant] += float64(t.ch.bytes) / weightOf(l.weights, t.tenant)
 	return t
 }

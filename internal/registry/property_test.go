@@ -75,9 +75,9 @@ func TestTierAccountingNeverLeaks(t *testing.T) {
 				t.Fatalf("trial %d op %d: host tier leaked: used %d > cap %d",
 					trial, op, s.HostUsed(), cap)
 			}
-			for e := s.root.next; e != &s.root; e = e.next {
-				if e.pinned {
-					pinnedEver[e.digest] = true
+			for ca := s.root.next; ca != &s.root; ca = ca.next {
+				if ca.pinned {
+					pinnedEver[ca.key] = true
 				}
 			}
 		}

@@ -24,6 +24,15 @@ func testAdapters(n int, names ...string) ([]*lora.Adapter, *Catalog) {
 	return adapters, CatalogFromAdapters(adapters, tenantOf)
 }
 
+// mustQuota sets a quota and fails the test on denial (for tests whose
+// subject is quota mechanics, not the oversubscription valve).
+func mustQuota(t *testing.T, s *Store, tenant string, q TenantQuota) {
+	t.Helper()
+	if err := s.SetQuota(tenant, q); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEnsureFetchesThenHits(t *testing.T) {
 	adapters, cat := testAdapters(4, "a")
 	ab := adapters[0].Bytes()
@@ -263,10 +272,10 @@ func TestUncataloguedBypasses(t *testing.T) {
 }
 
 // TestStoreConcurrentAccess hammers the exported surface from several
-// goroutines (as shard workers sharing a store would) and then checks
-// the invariants still hold. Run under -race this is the shard-safety
-// gate for the link model; determinism of fetch *ordering* is the
-// serving planner's job, not the mutex's.
+// goroutines and then checks the invariants still hold. Run under
+// -race this is the gate for the store's mutex; determinism of fetch
+// *ordering* is not the mutex's job — a cluster with a store replays
+// on the sequential engine.
 func TestStoreConcurrentAccess(t *testing.T) {
 	adapters, cat := testAdapters(16, "a", "b")
 	ab := adapters[0].Bytes()
@@ -302,4 +311,26 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuotaOversubscriptionDenied pins the host-tier safety valve:
+// guarantees beyond MaxPinnedFraction of the tier are denied at
+// SetQuota, the previous quota survives, and raising the cap admits
+// the same quota.
+func TestQuotaOversubscriptionDenied(t *testing.T) {
+	adapters, cat := testAdapters(8, "a", "b")
+	ab := adapters[0].Bytes()
+	s := NewStore(Config{HostCapacity: 8 * ab}, cat) // default valve: 0.5
+	mustQuota(t, s, "a", TenantQuota{GuaranteedBytes: 3 * ab})
+	if err := s.SetQuota("b", TenantQuota{GuaranteedBytes: 2 * ab}); err == nil {
+		t.Fatal("5 of 8 slots guaranteed should exceed the 0.5 valve")
+	}
+	if _, ok := s.quotas["b"]; ok {
+		t.Fatal("denied quota must not be applied")
+	}
+	// Replacing a tenant's own quota re-counts it, not double-counts.
+	mustQuota(t, s, "a", TenantQuota{GuaranteedBytes: 4 * ab})
+	// A disabled valve admits anything.
+	s2 := NewStore(Config{HostCapacity: 8 * ab, MaxPinnedFraction: -1}, cat)
+	mustQuota(t, s2, "a", TenantQuota{GuaranteedBytes: 8 * ab})
 }

@@ -98,8 +98,8 @@ type (
 	// families; see NewFamilyAdapterStore for the chunk-mode path.
 	AdapterCatalog = registry.Catalog
 	// FetchSample is one completed adapter fetch as observed by a
-	// chunk-mode store's fetch observer (Store.SetFetchObserver) — the
-	// input to the measured fetch-cost model.
+	// store's fetch observer (Store.SetFetchObserver) — the input to
+	// the measured fetch-cost model.
 	FetchSample = registry.FetchSample
 	// PreemptionConfig enables iteration-level preemption on an
 	// instance (displacement of admitted requests in favor of starving
